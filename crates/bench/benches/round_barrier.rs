@@ -17,7 +17,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use freelunch_bench::ScalingWorkload;
 use freelunch_graph::generators::{sparse_connected_erdos_renyi, GeneratorConfig};
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{Context, Envelope, Network, NetworkConfig, NodeProgram, Scheduling};
+use freelunch_runtime::{
+    Context, Envelope, Network, NetworkConfig, NodeProgram, DEFAULT_CHUNK_SIZE,
+};
 
 /// Minimal message-plane load: one broadcast per node per round, no
 /// per-round state, never halts (the bench drives rounds directly).
@@ -40,9 +42,9 @@ fn smoke() -> bool {
 }
 
 /// The benched topologies: the uniform sparse graph (every shard range
-/// carries equal work — the scheduler-neutral case) and the skewed
+/// carries equal work — the chunk-neutral case) and the skewed
 /// hub-and-spokes graph whose message work is concentrated in the first
-/// contiguous shard range (the case static chunking starves on).
+/// contiguous shard range (the case one range per worker starves on).
 fn workloads() -> Vec<(&'static str, MultiGraph)> {
     let n = if smoke() { 1 << 10 } else { 1 << 16 };
     vec![
@@ -65,24 +67,25 @@ fn bench_round_barrier(c: &mut Criterion) {
         let messages_per_round = 2 * graph.edge_count() as u64;
         let mut group = c.benchmark_group(format!("round_barrier/{name}"));
         group.sample_size(if smoke() { 1 } else { 10 });
-        // The 1-shard row is scheduler-free (serial path); each parallel
-        // shard count runs under both the work-stealing default and the
-        // static contiguous partition.
-        let grid: &[(usize, Scheduling, &str)] = &[
-            (1, Scheduling::Dynamic, "serial"),
-            (2, Scheduling::Dynamic, "dynamic"),
-            (2, Scheduling::Static, "static"),
-            (8, Scheduling::Dynamic, "dynamic"),
-            (8, Scheduling::Static, "static"),
+        // The 1-shard row takes the serial path; each parallel shard count
+        // runs at the work-stealing default chunk and at one contiguous
+        // `⌈n / shards⌉` range per worker.
+        let n = graph.node_count();
+        let grid = [
+            (1, "serial", DEFAULT_CHUNK_SIZE),
+            (2, "default", DEFAULT_CHUNK_SIZE),
+            (2, "n/shards", n.div_ceil(2)),
+            (8, "default", DEFAULT_CHUNK_SIZE),
+            (8, "n/shards", n.div_ceil(8)),
         ];
-        for &(shards, sched, sched_label) in grid {
+        for (shards, chunk_label, chunk) in grid {
             group.bench_with_input(
-                BenchmarkId::new(sched_label, shards),
+                BenchmarkId::new(chunk_label, shards),
                 &shards,
                 |b, &shards| {
                     let config = NetworkConfig::with_seed(3)
                         .sharded(shards)
-                        .scheduling(sched);
+                        .chunk_size(chunk);
                     let mut network =
                         Network::new(&graph, config, |_, _| Beacon).expect("network builds");
                     // Prewarm: grow every reusable buffer to steady state so

@@ -2,7 +2,9 @@
 //! sequential engine on million-node sparse workloads.
 //!
 //! For each [`ScalingWorkload`] family and node count, the same fixed-round
-//! neighbor-exchange program is executed with 1, 2 and 8 shards. The run
+//! neighbor-exchange program is executed with 1, 2 and 8 shards; each
+//! parallel shard count runs at the work-stealing default chunk size and at
+//! one contiguous `⌈n / shards⌉` range per worker. The run
 //! asserts that rounds, message counts and per-round metrics are
 //! bit-identical across shard counts (the engine's core guarantee), and
 //! records wall-clock time and the speedup over the 1-shard execution —
@@ -35,7 +37,9 @@ use freelunch_bench::{
     cell_f64, cell_str, cell_u64, tables_to_json, ExperimentTable, ScalingWorkload,
 };
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{Context, Envelope, Network, NetworkConfig, NodeProgram, Scheduling};
+use freelunch_runtime::{
+    Context, Envelope, Network, NetworkConfig, NodeProgram, DEFAULT_CHUNK_SIZE,
+};
 use std::time::Instant;
 
 /// Fixed-round neighbor exchange: every node broadcasts a mixing of
@@ -84,10 +88,10 @@ struct RunResult {
     metrics: freelunch_runtime::ExecutionMetrics,
 }
 
-fn run_once(graph: &MultiGraph, shards: usize, sched: Scheduling) -> RunResult {
+fn run_once(graph: &MultiGraph, shards: usize, chunk: usize) -> RunResult {
     let config = NetworkConfig::with_seed(7)
         .sharded(shards)
-        .scheduling(sched);
+        .chunk_size(chunk);
     let mut network = Network::new(graph, config, |_, _| PulseExchange {
         state: 0,
         rounds: ROUNDS,
@@ -116,10 +120,10 @@ fn run_once(graph: &MultiGraph, shards: usize, sched: Scheduling) -> RunResult {
 
 /// Runs a configuration `REPS` times, asserts every repetition is
 /// bit-identical, and returns the result carrying the minimum wall time.
-fn run_best_of(graph: &MultiGraph, shards: usize, sched: Scheduling) -> RunResult {
-    let mut best = run_once(graph, shards, sched);
+fn run_best_of(graph: &MultiGraph, shards: usize, chunk: usize) -> RunResult {
+    let mut best = run_once(graph, shards, chunk);
     for _ in 1..REPS {
-        let next = run_once(graph, shards, sched);
+        let next = run_once(graph, shards, chunk);
         assert_eq!(best.digest, next.digest, "nondeterministic repetition");
         assert_eq!(best.metrics, next.metrics, "nondeterministic repetition");
         if next.elapsed_s < best.elapsed_s {
@@ -139,29 +143,18 @@ fn main() {
     } else {
         &[1 << 16, 1 << 18, 1 << 20]
     };
-    // Each parallel shard count runs under both schedulers: `dynamic` is
-    // the work-stealing default, `static` the contiguous pre-stealing
-    // partition kept as the comparison baseline. The 1-shard serial row is
-    // scheduler-free (both modes take the same sequential path).
-    let grid: &[(usize, Scheduling, &str)] = &[
-        (1, Scheduling::Dynamic, "serial"),
-        (2, Scheduling::Dynamic, "dynamic"),
-        (2, Scheduling::Static, "static"),
-        (8, Scheduling::Dynamic, "dynamic"),
-        (8, Scheduling::Static, "static"),
-    ];
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1) as u64;
 
     let mut table = ExperimentTable::new(
-        "E-scaling — sharded engine throughput (nodes x shards x scheduler; min of 3 runs; identical outputs enforced)",
+        "E-scaling — sharded engine throughput (nodes x shards x chunk; min of 3 runs; identical outputs enforced)",
         &[
             "workload",
             "n",
             "m",
             "shards",
-            "sched",
+            "chunk",
             "cores",
             "rounds",
             "messages",
@@ -176,8 +169,15 @@ fn main() {
             let graph = workload.build(n, 42).expect("workload builds");
             let m = graph.edge_count() as u64;
             let mut baseline: Option<RunResult> = None;
-            for &(shards, sched, sched_label) in grid {
-                let result = run_best_of(&graph, shards, sched);
+            let grid = [
+                (1, "serial", DEFAULT_CHUNK_SIZE),
+                (2, "default", DEFAULT_CHUNK_SIZE),
+                (2, "n/shards", n.div_ceil(2)),
+                (8, "default", DEFAULT_CHUNK_SIZE),
+                (8, "n/shards", n.div_ceil(8)),
+            ];
+            for (shards, chunk_label, chunk) in grid {
+                let result = run_best_of(&graph, shards, chunk);
                 let (speedup, identical) = match &baseline {
                     None => (1.0, true),
                     Some(reference) => {
@@ -187,14 +187,14 @@ fn main() {
                             && reference.metrics == result.metrics;
                         assert!(
                             identical,
-                            "{}/{n}: {shards}-shard {sched_label} run diverged from sequential",
+                            "{}/{n}: {shards}-shard chunk {chunk_label} run diverged from sequential",
                             workload.label()
                         );
                         (reference.elapsed_s / result.elapsed_s, identical)
                     }
                 };
                 eprintln!(
-                    "{:12} n={n:>8} m={m:>9} shards={shards} sched={sched_label:7} {:>8.3}s x{speedup:.2}",
+                    "{:12} n={n:>8} m={m:>9} shards={shards} chunk={chunk_label:8} {:>8.3}s x{speedup:.2}",
                     workload.label(),
                     result.elapsed_s
                 );
@@ -203,7 +203,7 @@ fn main() {
                     cell_u64(n as u64),
                     cell_u64(m),
                     cell_u64(shards as u64),
-                    cell_str(sched_label),
+                    cell_str(chunk_label),
                     cell_u64(cores),
                     cell_u64(result.rounds),
                     cell_u64(result.messages),

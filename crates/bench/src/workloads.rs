@@ -90,8 +90,8 @@ pub enum ScalingWorkload {
     /// 64 hubs at the *lowest* node indices, every remaining node attached
     /// to one hub round-robin. Every edge is incident to a hub, so the
     /// first contiguous shard range carries half of all message work — the
-    /// worst case for static shard chunking and the motivating case for
-    /// the work-stealing scheduler (`docs/PERF.md` §2).
+    /// worst case for one chunk per worker and the motivating case for
+    /// small work-stealing chunks (`docs/PERF.md` §2).
     SkewedHub,
 }
 

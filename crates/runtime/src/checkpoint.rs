@@ -54,7 +54,7 @@
 //! [`Trace`]: crate::trace::Trace
 
 use crate::churn::ChurnEvent;
-use crate::engine::{NetworkConfig, Scheduling};
+use crate::engine::NetworkConfig;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::knowledge::KnowledgeModel;
 use crate::metrics::FaultTotals;
@@ -67,8 +67,9 @@ use std::path::Path;
 /// Checkpoint-file magic: `"FLCP"` (freelunch checkpoint).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"FLCP";
 /// Checkpoint format version; bumped on any layout change (v2 added the
-/// scheduling mode and work-stealing chunk size to the config section).
-const CHECKPOINT_VERSION: u8 = 2;
+/// scheduling mode and work-stealing chunk size to the config section, v3
+/// dropped the scheduling mode again).
+const CHECKPOINT_VERSION: u8 = 3;
 /// Encoded size of a [`TraceEvent`] in the trace section.
 const TRACE_EVENT_BYTES: usize = 20;
 
@@ -108,7 +109,7 @@ pub fn graph_fingerprint(node_count: usize, endpoints: &[[u32; 2]]) -> u64 {
 ///
 /// ```text
 /// [0..4]   magic "FLCP"
-/// [4]      version (2)
+/// [4]      version (3)
 /// [5..8]   zero padding
 /// [8..16]  u64 body_len   — exact byte length of the body that follows
 /// [16..24] u64 checksum   — FNV-1a 64 of the body
@@ -419,11 +420,7 @@ impl NetworkCheckpoint {
             TraceMode::Off => 0u8,
             TraceMode::Full => 1,
         });
-        buf.push(match self.config.sched {
-            Scheduling::Dynamic => 0u8,
-            Scheduling::Static => 1,
-        });
-        buf.extend_from_slice(&[0u8; 1]);
+        buf.extend_from_slice(&[0u8; 2]);
         buf.extend_from_slice(&self.config.log_n_slack.to_le_bytes());
         buf.extend_from_slice(&self.config.seed.to_le_bytes());
         buf.extend_from_slice(&(self.config.trace_capacity as u64).to_le_bytes());
@@ -533,17 +530,7 @@ impl NetworkCheckpoint {
                 )))
             }
         };
-        let sched = match r.u8("config.sched")? {
-            0 => Scheduling::Dynamic,
-            1 => Scheduling::Static,
-            tag => {
-                return Err(RuntimeError::checkpoint(format!(
-                    "unknown scheduling tag {tag} at offset {}",
-                    r.pos - 1
-                )))
-            }
-        };
-        r.padding(1, "config padding")?;
+        r.padding(2, "config padding")?;
         let log_n_slack = r.u32("config.log_n_slack")?;
         let seed = r.u64("config.seed")?;
         let trace_capacity_cfg = r.u64("config.trace_capacity")?;
@@ -556,7 +543,6 @@ impl NetworkCheckpoint {
             trace_mode,
             trace_capacity: trace_capacity_cfg as usize,
             shards: shards as usize,
-            sched,
             chunk_size: chunk_size as usize,
         };
         // Section 2: cursor.

@@ -22,17 +22,16 @@
 //! # Sharded parallel execution
 //!
 //! Every round has two phases, both parallelized over
-//! [`NetworkConfig::shards`] worker threads under a [`Scheduling`] mode:
+//! [`NetworkConfig::shards`] worker threads by one scheduler: the node
+//! range is pre-split into contiguous chunks of about
+//! [`NetworkConfig::chunk_size`] nodes and the workers **claim chunks off
+//! a shared atomic cursor** until none remain, so a skewed workload
+//! (scale-free hubs, a half-halted graph) cannot idle every worker behind
+//! one overloaded range. A chunk size of `⌈n / shards⌉` gives one
+//! contiguous range per worker.
 //!
 //! * the *execute* phase steps each node's program against its inbox
-//!   snapshot — nodes are mutually independent within a round. Under the
-//!   default [`Scheduling::Dynamic`] the node range is pre-split into
-//!   many small chunks ([`NetworkConfig::chunk_size`] nodes each) and the
-//!   workers **claim chunks off a shared atomic cursor** until none
-//!   remain, so a skewed workload (scale-free hubs, a half-halted graph)
-//!   cannot idle every worker behind one overloaded range.
-//!   [`Scheduling::Static`] keeps the pre-stealing partition into exactly
-//!   `shards` contiguous `div_ceil` ranges as a comparison baseline;
+//!   snapshot — nodes are mutually independent within a round;
 //! * the *dispatch* phase delivers at the round barrier with
 //!   **receiver-chunked workers**: a route step buckets the canonical
 //!   node-ordered outboxes into a (sender chunk × receiver chunk) grid,
@@ -49,14 +48,12 @@
 //! sub-slices each claimed exactly once), each node draws from its own
 //! seeded [`ChaCha8Rng`] stream keyed by `(seed, node)`, and the barrier
 //! reads everything back in canonical node order. A failing round reports
-//! the canonically **first** error (lowest node index) on all paths — the
-//! serial engine trivially, the static partition by joining shards in
-//! ascending order, the dynamic scheduler by reducing the per-worker
-//! lowest-node candidates after the join. Hence every observable of an
-//! execution — [`ExecutionMetrics`], [`MessageLedger`], [`Trace`],
-//! program outputs — is **bit-identical for every shard count, scheduler
-//! and chunk size** at equal seeds. Sharding and scheduling are
-//! wall-clock knobs, never semantics knobs.
+//! the canonically **first** error (lowest node index): each worker keeps
+//! its lowest-node candidate and the candidates are reduced after the
+//! join. Hence every observable of an execution — [`ExecutionMetrics`],
+//! [`MessageLedger`], [`Trace`], program outputs — is **bit-identical for
+//! every shard count and chunk size** at equal seeds. Both are wall-clock
+//! knobs, never semantics knobs.
 //!
 //! Per-message trace recording is priced separately: it is off by default
 //! ([`TraceMode::Off`]) and a traced execution ([`NetworkConfig::traced`])
@@ -110,6 +107,7 @@
 
 use crate::checkpoint::{debug_digest, graph_fingerprint, NetworkCheckpoint, PendingEnvelope};
 use crate::churn::{ChurnDriver, ChurnEvent, ChurnPlan};
+use crate::claim::claim_each;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::fault::{FaultPlan, MessageFate, ResolvedFaultPlan};
 use crate::knowledge::{initial_knowledge, InitialKnowledge, KnowledgeModel};
@@ -122,60 +120,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// One claimable chunk of the work-stealing execute phase: `(first node
-/// index, programs, rngs, outboxes, halted flags)` — disjoint equal-length
-/// sub-slices of the per-node state arrays, handed to exactly one worker by
-/// the claim cursor.
-type ExecChunk<'a, P, M> = (
-    usize,
-    &'a mut [P],
-    &'a mut [ChaCha8Rng],
-    &'a mut [Vec<Outgoing<M>>],
-    &'a mut [bool],
-);
-
-/// The work-stealing claim queue of the dynamic execute phase: one slot per
-/// [`ExecChunk`], `take`n exactly once by whichever worker's cursor fetch
-/// lands on it.
-type ExecQueue<'a, P, M> = Vec<Mutex<Option<ExecChunk<'a, P, M>>>>;
-
-/// How the parallel execute and dispatch phases split their node ranges
-/// across the worker shards.
-///
-/// Either mode produces **bit-identical observables** — outputs,
-/// [`ExecutionMetrics`], [`MessageLedger`], [`Trace`] — at equal seeds:
-/// every node writes only its own pre-allocated slots (program state, RNG,
-/// outbox, halted flag) whichever worker steps it, and all merging stays in
-/// canonical node order. Scheduling, like the shard count, is a wall-clock
-/// knob, never a semantics knob. See `docs/PERF.md` §2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Scheduling {
-    /// Chunked work-stealing (the default): the node range is split into
-    /// many small fixed-size chunks ([`NetworkConfig::chunk_size`] nodes)
-    /// and workers claim them off a shared atomic cursor, so a worker that
-    /// finishes its chunk early immediately picks up the next one. On
-    /// skewed (scale-free) workloads this keeps every worker busy until the
-    /// barrier instead of leaving all but the hub-owning shard idle.
-    #[default]
-    Dynamic,
-    /// The pre-stealing static partition: exactly `shards` contiguous
-    /// `div_ceil` chunks, one per worker. Kept as the comparison baseline
-    /// (`BENCH_engine_scaling.json` records both) and for workloads whose
-    /// per-node cost is genuinely uniform.
-    Static,
-}
 
 /// Default [`NetworkConfig::chunk_size`]: small enough that a scale-free
 /// hub's chunk cannot dominate the barrier, large enough that the claim
 /// cursor is touched a few hundred times per phase at most.
 pub const DEFAULT_CHUNK_SIZE: usize = 2048;
-
-fn default_chunk_size() -> usize {
-    DEFAULT_CHUNK_SIZE
-}
 
 /// Configuration of a synchronous execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -191,12 +140,6 @@ pub struct NetworkConfig {
     /// *counts* are always exact regardless). [`TraceMode::Full`] forces
     /// the round barrier onto its serial path so events are recorded in
     /// canonical order.
-    ///
-    /// Compatibility: configs serialized before this field existed
-    /// deserialize as `Off` even if `trace_capacity > 0` — tracing is now
-    /// an explicit opt-in, so such configs must also set `trace_mode`
-    /// (or be built via [`NetworkConfig::traced`], which sets both).
-    #[serde(default)]
     pub trace_mode: TraceMode,
     /// Maximum number of message events stored in the trace under
     /// [`TraceMode::Full`] (events beyond the capacity are counted, not
@@ -208,20 +151,13 @@ pub struct NetworkConfig {
     /// the execution is bit-identical for every shard count — see the
     /// [module docs](self).
     pub shards: usize,
-    /// How the parallel phases divide work across the shard workers
-    /// ([`Scheduling::Dynamic`] chunked work-stealing by default).
-    /// Irrelevant when `shards == 1`. Configs serialized before this field
-    /// existed deserialize as `Dynamic`; that is safe because scheduling
-    /// never changes an observable.
-    #[serde(default)]
-    pub sched: Scheduling,
-    /// Target nodes per work-stealing chunk under [`Scheduling::Dynamic`]
+    /// Target nodes per claimable chunk of the parallel phases
     /// ([`DEFAULT_CHUNK_SIZE`] by default; 0 is rejected by
     /// [`Network::new`]). Smaller chunks balance skew better but touch the
-    /// claim cursor more often; the dispatch barrier additionally clamps
-    /// its chunk grid so its bucket matrix stays small — see
-    /// `docs/PERF.md` §2 for tuning guidance.
-    #[serde(default = "default_chunk_size")]
+    /// claim cursor more often; `⌈n / shards⌉` gives one contiguous range
+    /// per worker. The dispatch barrier additionally clamps its chunk grid
+    /// so its bucket matrix stays small — see `docs/PERF.md` §2 for tuning
+    /// guidance. Like `shards`, never changes an observable.
     pub chunk_size: usize,
 }
 
@@ -234,8 +170,7 @@ impl Default for NetworkConfig {
             trace_mode: TraceMode::Off,
             trace_capacity: 0,
             shards: 1,
-            sched: Scheduling::Dynamic,
-            chunk_size: default_chunk_size(),
+            chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
 }
@@ -280,17 +215,8 @@ impl NetworkConfig {
         self
     }
 
-    /// Returns a copy using the given [`Scheduling`] mode for the parallel
-    /// phases. A no-op knob semantically: observables are bit-identical
-    /// under either mode (and under any shard count).
-    pub fn scheduling(mut self, sched: Scheduling) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Returns a copy using the given work-stealing chunk size (nodes per
-    /// claimable chunk under [`Scheduling::Dynamic`]; 0 is rejected by
-    /// [`Network::new`]).
+    /// Returns a copy using the given chunk size (nodes per claimable chunk
+    /// of the parallel phases; 0 is rejected by [`Network::new`]).
     pub fn chunk_size(mut self, nodes: usize) -> Self {
         self.chunk_size = nodes;
         self
@@ -838,19 +764,18 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     /// inbox snapshot, writing resolved messages into the per-node
     /// persistent outboxes and sizing their payloads
     /// ([`NodeProgram::payload_bytes`]) on the worker that stepped the
-    /// node. With more than one shard the nodes are split into contiguous
-    /// chunks stepped on scoped worker threads: one `div_ceil` chunk per
-    /// worker under [`Scheduling::Static`], or many
-    /// [`NetworkConfig::chunk_size`]-node chunks claimed off a shared
-    /// atomic cursor under [`Scheduling::Dynamic`] (the default), so
-    /// skewed per-node costs cannot leave workers idle at the barrier.
+    /// node. The owned range is split into contiguous
+    /// [`NetworkConfig::chunk_size`]-node chunks (at most `⌈owned /
+    /// shards⌉`) that the shard workers claim off a shared cursor
+    /// ([`claim_each`]), so skewed per-node costs cannot leave workers idle
+    /// at the barrier; one shard steps the chunks in order on the calling
+    /// thread.
     ///
     /// An invalid send (unknown or non-incident edge) aborts the round at
     /// the barrier — before anything is delivered or counted — reporting
-    /// the canonically first error (lowest node, earliest send): the serial
-    /// path sees it first, the static path joins shards in ascending node
-    /// order, and the work-stealing path reduces worker-local candidates by
-    /// node index.
+    /// the canonically first error (lowest node, earliest send): each
+    /// worker keeps its lowest-node candidate and the candidates are
+    /// reduced by node index after the join.
     fn execute_phase(&mut self, round: u32, phase: Phase) -> RuntimeResult<()> {
         let shards = self.shard_count();
         let csr = &self.csr;
@@ -917,158 +842,53 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             error
         };
 
+        // Whichever worker claims a chunk, every node writes only its own
+        // pre-allocated slots, so only the error report needs a canonical
+        // reduction.
         let owned = self.owned.clone();
-        let mut first_error: Option<RuntimeError> = None;
-        if shards == 1 {
-            for (offset, (((program, rng), outbox), halted)) in self.programs[owned.clone()]
-                .iter_mut()
-                .zip(self.rngs[owned.clone()].iter_mut())
-                .zip(self.outboxes[owned.clone()].iter_mut())
-                .zip(self.halted[owned.clone()].iter_mut())
-                .enumerate()
-            {
-                let error = step(owned.start + offset, program, rng, outbox, halted);
-                if first_error.is_none() {
-                    first_error = error;
-                }
-            }
-        } else if self.config.sched == Scheduling::Static {
-            let chunk = owned.len().div_ceil(shards);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self.programs[owned.clone()]
-                    .chunks_mut(chunk)
-                    .zip(self.rngs[owned.clone()].chunks_mut(chunk))
-                    .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
-                    .zip(self.halted[owned.clone()].chunks_mut(chunk))
+        let chunk = self
+            .config
+            .chunk_size
+            .min(owned.len().div_ceil(shards))
+            .max(1);
+        // Each chunk: `(first node index, programs, rngs, outboxes, halted
+        // flags)`, disjoint equal-length sub-slices of the per-node arrays.
+        let chunks: Vec<_> = self.programs[owned.clone()]
+            .chunks_mut(chunk)
+            .zip(self.rngs[owned.clone()].chunks_mut(chunk))
+            .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
+            .zip(self.halted[owned.clone()].chunks_mut(chunk))
+            .enumerate()
+            .map(|(slot, (((programs, rngs), outboxes), halted))| {
+                (owned.start + slot * chunk, programs, rngs, outboxes, halted)
+            })
+            .collect();
+        // Per worker: its canonically first error as `(node index, error)`.
+        // An empty owned range (a TCP rank without nodes) still gets one.
+        let mut lowest: Vec<Option<(usize, RuntimeError)>> = Vec::new();
+        lowest.resize_with(shards.min(chunks.len()).max(1), || None);
+        claim_each(
+            &mut lowest,
+            chunks,
+            |lowest, (base, programs, rngs, outboxes, halted)| {
+                for (offset, (((program, rng), outbox), halted)) in programs
+                    .iter_mut()
+                    .zip(rngs.iter_mut())
+                    .zip(outboxes.iter_mut())
+                    .zip(halted.iter_mut())
                     .enumerate()
-                    .map(|(shard, (((programs, rngs), outboxes), halted))| {
-                        let base = owned.start + shard * chunk;
-                        let step = &step;
-                        scope.spawn(move || {
-                            let mut shard_error: Option<RuntimeError> = None;
-                            for (offset, (((program, rng), outbox), halted)) in programs
-                                .iter_mut()
-                                .zip(rngs.iter_mut())
-                                .zip(outboxes.iter_mut())
-                                .zip(halted.iter_mut())
-                                .enumerate()
-                            {
-                                let error = step(base + offset, program, rng, outbox, halted);
-                                if shard_error.is_none() {
-                                    shard_error = error;
-                                }
-                            }
-                            shard_error
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        // Shards are joined in ascending node order, so the
-                        // first error seen is the canonically first one.
-                        Ok(error) => {
-                            if first_error.is_none() {
-                                first_error = error;
-                            }
+                {
+                    let index = base + offset;
+                    if let Some(error) = step(index, program, rng, outbox, halted) {
+                        if lowest.as_ref().is_none_or(|&(node, _)| index < node) {
+                            *lowest = Some((index, error));
                         }
-                        // A panicking program panics the whole execution,
-                        // just like in the sequential engine.
-                        Err(payload) => std::panic::resume_unwind(payload),
                     }
                 }
-            });
-        } else {
-            // Chunked work-stealing (`Scheduling::Dynamic`): the owned range
-            // is pre-split into many small chunks and the workers claim them
-            // off a shared cursor, so a worker that drew cheap nodes keeps
-            // stepping while another grinds through a hub's heavy chunk.
-            // Determinism is free: whichever worker claims a chunk, every
-            // node still writes only its own pre-allocated slots, and errors
-            // are reduced to the canonical first one (lowest node index)
-            // after the joins.
-            let chunk = self
-                .config
-                .chunk_size
-                .min(owned.len().div_ceil(shards))
-                .max(1);
-            let chunks: ExecQueue<'_, P, P::Message> = self.programs[owned.clone()]
-                .chunks_mut(chunk)
-                .zip(self.rngs[owned.clone()].chunks_mut(chunk))
-                .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
-                .zip(self.halted[owned.clone()].chunks_mut(chunk))
-                .enumerate()
-                .map(|(slot, (((programs, rngs), outboxes), halted))| {
-                    Mutex::new(Some((
-                        owned.start + slot * chunk,
-                        programs,
-                        rngs,
-                        outboxes,
-                        halted,
-                    )))
-                })
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            let workers = shards.min(chunks.len());
-            let mut lowest: Option<(usize, RuntimeError)> = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let step = &step;
-                        let cursor = &cursor;
-                        let chunks = &chunks;
-                        scope.spawn(move || {
-                            // This worker's canonically first error:
-                            // `(node index, error)`, lowest index wins.
-                            let mut worst: Option<(usize, RuntimeError)> = None;
-                            loop {
-                                let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                                if claimed >= chunks.len() {
-                                    break;
-                                }
-                                let (base, programs, rngs, outboxes, halted) = chunks[claimed]
-                                    .lock()
-                                    .expect("a chunk claim cannot be poisoned")
-                                    .take()
-                                    .expect("the cursor hands each chunk to exactly one worker");
-                                for (offset, (((program, rng), outbox), halted)) in programs
-                                    .iter_mut()
-                                    .zip(rngs.iter_mut())
-                                    .zip(outboxes.iter_mut())
-                                    .zip(halted.iter_mut())
-                                    .enumerate()
-                                {
-                                    let index = base + offset;
-                                    if let Some(error) = step(index, program, rng, outbox, halted) {
-                                        if worst.as_ref().is_none_or(|&(node, _)| index < node) {
-                                            worst = Some((index, error));
-                                        }
-                                    }
-                                }
-                            }
-                            worst
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        // Workers interleave their claims nondeterministically,
-                        // so — unlike the static path's ascending joins — the
-                        // canonical first error must be restored explicitly:
-                        // the lowest erroring node index wins.
-                        Ok(Some((node, error))) => {
-                            if lowest.as_ref().is_none_or(|&(best, _)| node < best) {
-                                lowest = Some((node, error));
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-            first_error = lowest.map(|(_, error)| error);
-        }
-        match first_error {
-            Some(error) => Err(error),
+            },
+        );
+        match lowest.into_iter().flatten().min_by_key(|&(node, _)| node) {
+            Some((_, error)) => Err(error),
             None => Ok(()),
         }
     }
@@ -1096,7 +916,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let outcome = self.transport.deliver(RoundBarrier {
             round,
             shards,
-            sched: self.config.sched,
             chunk_size: self.config.chunk_size,
             traced,
             local_sent: round_total,
@@ -2321,20 +2140,48 @@ mod tests {
             node: NodeId::new(3),
             edge: EdgeId::new(50),
         };
-        for sched in [Scheduling::Dynamic, Scheduling::Static] {
-            for shards in [1, 2, 8] {
-                // chunk_size(1) maximizes chunk count, so the two rogues
-                // land in different chunks and are claimed by racing
-                // workers in a nondeterministic order.
-                let config = NetworkConfig::default()
-                    .sharded(shards)
-                    .scheduling(sched)
-                    .chunk_size(1);
+        for shards in [1, 2, 8] {
+            // chunk 1 maximizes chunk count, so the two rogues land in
+            // different chunks and are claimed by racing workers in a
+            // nondeterministic order; ⌈n / shards⌉ is one contiguous range
+            // per worker.
+            for chunk in [1, 7, DEFAULT_CHUNK_SIZE, 96usize.div_ceil(shards)] {
+                let config = NetworkConfig::default().sharded(shards).chunk_size(chunk);
                 let mut network = Network::new(&graph, config, |_, _| TwinRogue).unwrap();
                 assert_eq!(
                     network.run_round().unwrap_err(),
                     first,
-                    "at {shards} shards under {sched:?}"
+                    "at {shards} shards, chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_program_panics_the_run_with_its_own_payload() {
+        /// Node 70 panics in round 1; everyone else just halts.
+        struct Bomb;
+        impl NodeProgram for Bomb {
+            type Message = ();
+            fn round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
+                if ctx.node() == NodeId::new(70) {
+                    panic!("node 70 exploded");
+                }
+                ctx.halt();
+            }
+        }
+        let graph = cycle(96);
+        for shards in [1, 2, 8] {
+            for chunk in [1, DEFAULT_CHUNK_SIZE] {
+                let config = NetworkConfig::default().sharded(shards).chunk_size(chunk);
+                let mut network = Network::new(&graph, config, |_, _| Bomb).unwrap();
+                let payload =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| network.run_round()))
+                        .expect_err("the program's panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"node 70 exploded"),
+                    "at {shards} shards, chunk {chunk}"
                 );
             }
         }

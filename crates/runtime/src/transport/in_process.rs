@@ -4,45 +4,26 @@
 //! byte-for-byte behind the [`Transport`] trait: payloads move by value
 //! from outbox to mailbox (never serialized, never cloned), all exchange
 //! buffers are allocated once and reused, and the parallel path is the
-//! receiver-sharded bucket exchange described in `docs/PERF.md` §2.
+//! receiver-chunked bucket exchange described in `docs/PERF.md` §2, run by
+//! the same chunk-claiming workers as the execute phase.
 
 use super::{BarrierOutcome, RoundBarrier, Transport};
-use crate::engine::Scheduling;
+use crate::claim::claim_each;
 use crate::error::RuntimeResult;
 use crate::node::{Envelope, Outgoing};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Upper bound on dispatch chunks *per worker* under
-/// [`Scheduling::Dynamic`]: the chunk grid is coarsened until at most this
-/// many chunks per worker remain, so the chunk×chunk bucket matrix stays
-/// `O((16 · shards)²)` `Vec` headers however large the graph — while a
-/// 16-way-finer grid than the static partition already caps any single
-/// hub chunk at ~1/16th of a worker's round.
+/// Upper bound on dispatch chunks *per worker*: the chunk grid is
+/// coarsened until at most this many chunks per worker remain, so the
+/// chunk×chunk bucket matrix stays `O((16 · shards)²)` `Vec` headers
+/// however large the graph — while a 16-way-finer grid than one range per
+/// worker already caps any single hub chunk at ~1/16th of a worker's round.
 const DISPATCH_CHUNKS_PER_WORKER: usize = 16;
 
-/// One claimable unit of the dynamic route pass: a sender chunk's outboxes
-/// paired with its row of the chunk×chunk bucket matrix. Slots are `take`n
-/// exactly once off the claim cursor.
-type RouteQueue<'a, M> =
-    Vec<Mutex<Option<(&'a mut [Vec<Outgoing<M>>], &'a mut [Vec<Outgoing<M>>])>>>;
-
-/// One claimable unit of the dynamic delivery pass: `(first receiver index,
-/// receiver-chunk mailboxes, that chunk's bucket column)`.
-type DeliveryQueue<'a, M> = Vec<
-    Mutex<
-        Option<(
-            usize,
-            &'a mut [Vec<Envelope<M>>],
-            &'a mut [Vec<Outgoing<M>>],
-        )>,
-    >,
->;
-
 /// Reusable scratch of the parallel dispatch barrier: per-edge message and
-/// byte accumulators shared by the receiver-sharded workers (each message
+/// byte accumulators shared by the receiver-chunked workers (each message
 /// is counted by exactly one worker; an edge can be touched by at most the
 /// two workers owning its endpoints, hence the atomics) plus one touched
 /// list per worker. A worker appends an edge to its touched list exactly
@@ -72,18 +53,16 @@ impl DispatchScratch {
 /// The in-process delivery backend (the default `Network` transport).
 ///
 /// Serial delivery when single-sharded, traced, or silent; the
-/// receiver-sharded parallel bucket exchange otherwise. Every buffer is
+/// receiver-chunked parallel bucket exchange otherwise. Every buffer is
 /// reused across rounds, so steady-state rounds allocate nothing.
 pub struct InProcessTransport<M> {
     /// Bucket exchange of the parallel barrier, row-major:
     /// `buckets[s * cols + r]` holds the messages nodes of sender chunk `s`
-    /// sent to receivers of chunk `r`, in canonical (node, send) order. The
-    /// grid is one chunk per shard under [`Scheduling::Static`] and the
-    /// finer work-stealing chunk grid under [`Scheduling::Dynamic`]. Empty
-    /// until the first parallel dispatch; reused afterwards.
+    /// sent to receivers of chunk `r`, in canonical (node, send) order.
+    /// Empty until the first parallel dispatch; reused afterwards.
     buckets: Vec<Vec<Outgoing<M>>>,
     /// Transposed view of `buckets` during delivery (column-major), so each
-    /// receiver shard's worker can take a contiguous `&mut` slice of its
+    /// receiver chunk's worker can take a contiguous `&mut` slice of its
     /// column. Only `Vec` headers move between the two layouts.
     bucket_scratch: Vec<Vec<Outgoing<M>>>,
     scratch: Option<DispatchScratch>,
@@ -152,30 +131,48 @@ impl<M> InProcessTransport<M> {
 }
 
 impl<M: Send + Sync> InProcessTransport<M> {
-    /// Receiver-sharded parallel delivery, as a two-step bucket exchange:
+    /// Receiver-chunked parallel delivery, as a two-step bucket exchange
+    /// whose steps both hand their chunks to [`claim_each`] — so a hub
+    /// chunk's heavy column stalls one worker for one chunk, not one
+    /// worker for the whole barrier:
     ///
-    /// 1. *Route* — the execute-phase node shards drain their outboxes into
-    ///    per-(sender shard × receiver shard) buckets, so every message is
-    ///    copied once and each receiver shard's messages end up in exactly
-    ///    `shards` buckets, already in canonical (node, send) order.
-    /// 2. *Deliver* — worker `k` owns the contiguous receiver range of
-    ///    shard `k`; it drains its bucket column in ascending sender-shard
-    ///    order (payloads move, never clone), filling each mailbox in
-    ///    exactly the order the serial path produces.
+    /// * The node range is split into `cols` chunks of `chunk` nodes: the
+    ///   configured [`RoundBarrier::chunk_size`], coarsened until at most
+    ///   [`DISPATCH_CHUNKS_PER_WORKER`] chunks per worker remain (the
+    ///   bucket matrix is `cols²` and must stay cheap to transpose).
+    /// * *Route* — a worker claims a sender chunk and drains its outboxes
+    ///   into that chunk's bucket row, keyed by receiver chunk. Each bucket
+    ///   is written by exactly one worker, in canonical (node, send) order,
+    ///   and every message is moved once.
+    /// * *Deliver* — a worker claims a receiver chunk and drains its bucket
+    ///   column in ascending sender-chunk order (payloads move, never
+    ///   clone), filling each mailbox in exactly the serial order. The
+    ///   chunk doubles as the cache block: until its column is dry a worker
+    ///   touches only `chunk` consecutive mailboxes, so receiver-side
+    ///   writes stay inside an L2-sized window instead of striding the
+    ///   whole mailbox array.
     ///
     /// Per-edge ledger partials accumulate in the shared atomic scratch
-    /// (sums — order-independent) and are merged into the ledger when the
-    /// barrier closes, in `O(edges touched this round)`. Unlike a naive
-    /// scan-all barrier (every worker reading every outbox), total memory
-    /// traffic is `O(messages)` regardless of the shard count.
-    fn deliver_parallel(&mut self, b: RoundBarrier<'_, M>) {
+    /// (sums — order-independent, one touched list per worker) and are
+    /// merged into the ledger when the barrier closes, in `O(edges touched
+    /// this round)`, bit-identical to the serial ledger whichever worker
+    /// claimed what. Total memory traffic is `O(messages)` regardless of
+    /// the shard count.
+    fn deliver_chunked(&mut self, b: RoundBarrier<'_, M>) {
         let RoundBarrier {
             shards,
+            chunk_size,
             outboxes,
             mailboxes,
             ledger,
             ..
         } = b;
+        let node_count = mailboxes.len();
+        let chunk = chunk_size
+            .max(node_count.div_ceil(shards * DISPATCH_CHUNKS_PER_WORKER))
+            .max(1);
+        let cols = node_count.div_ceil(chunk);
+        let workers = shards.min(cols);
         let edge_slots = ledger.edge_slots();
         let scratch = self
             .scratch
@@ -191,191 +188,32 @@ impl<M: Send + Sync> InProcessTransport<M> {
                 .edge_bytes
                 .resize_with(edge_slots, || AtomicU64::new(0));
         }
-        if self.buckets.len() != shards * shards {
-            self.buckets.clear();
-            self.buckets.resize_with(shards * shards, Vec::new);
-            self.bucket_scratch.clear();
-            self.bucket_scratch.resize_with(shards * shards, Vec::new);
-        }
-        let chunk = mailboxes.len().div_ceil(shards);
-
-        // Route: node-sharded workers bucket their outboxes by receiver
-        // shard. Buckets are empty here (drained by the previous delivery).
-        std::thread::scope(|scope| {
-            for (outboxes, row) in outboxes
-                .chunks_mut(chunk)
-                .zip(self.buckets.chunks_mut(shards))
-            {
-                scope.spawn(move || {
-                    for outbox in outboxes {
-                        for outgoing in outbox.drain(..) {
-                            row[outgoing.receiver.index() / chunk].push(outgoing);
-                        }
-                    }
-                });
-            }
-        });
-
-        // Transpose to column-major so each delivery worker can borrow its
-        // receiver shard's column as one contiguous slice (header moves
-        // only, no message is copied).
-        for sender_shard in 0..shards {
-            for receiver_shard in 0..shards {
-                self.bucket_scratch[receiver_shard * shards + sender_shard] =
-                    std::mem::take(&mut self.buckets[sender_shard * shards + receiver_shard]);
-            }
-        }
-
-        // Deliver: receiver-sharded workers drain their columns.
-        let edge_counts = &scratch.edge_counts;
-        let edge_bytes = &scratch.edge_bytes;
-        std::thread::scope(|scope| {
-            for (((shard, mailboxes), column), touched) in mailboxes
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(self.bucket_scratch.chunks_mut(shards))
-                .zip(scratch.touched.iter_mut())
-            {
-                let lo = shard * chunk;
-                scope.spawn(move || {
-                    for mailbox in mailboxes.iter_mut() {
-                        mailbox.clear();
-                    }
-                    for bucket in column {
-                        for outgoing in bucket.drain(..) {
-                            let edge = outgoing.edge.index();
-                            // First toucher of the round claims the edge for
-                            // its merge list; the lists partition the
-                            // touched set.
-                            if edge_counts[edge].fetch_add(1, Ordering::Relaxed) == 0 {
-                                touched.push(edge as u32);
-                            }
-                            edge_bytes[edge].fetch_add(outgoing.bytes, Ordering::Relaxed);
-                            mailboxes[outgoing.receiver.index() - lo].push(Envelope {
-                                edge: outgoing.edge,
-                                from: outgoing.sender,
-                                payload: outgoing.payload,
-                            });
-                        }
-                    }
-                });
-            }
-        });
-
-        // Return the (empty, capacity-bearing) buckets to row-major for the
-        // next round's route step.
-        for sender_shard in 0..shards {
-            for receiver_shard in 0..shards {
-                self.buckets[sender_shard * shards + receiver_shard] = std::mem::take(
-                    &mut self.bucket_scratch[receiver_shard * shards + sender_shard],
-                );
-            }
-        }
-        // Merge the partials in canonical shard order. Each touched edge
-        // appears in exactly one list and its accumulators hold the full
-        // round totals by now, so one `record_bulk` per edge reproduces the
-        // serial ledger bit for bit.
-        for touched in scratch.touched.iter_mut() {
-            for &edge in touched.iter() {
-                let edge = edge as usize;
-                let count = u64::from(edge_counts[edge].swap(0, Ordering::Relaxed));
-                let bytes = edge_bytes[edge].swap(0, Ordering::Relaxed);
-                ledger.record_bulk(edge, count, bytes);
-            }
-            touched.clear();
-        }
-    }
-
-    /// The work-stealing variant of the bucket exchange
-    /// ([`Scheduling::Dynamic`]): the same two-step route/deliver shape,
-    /// but over a chunk grid *finer than the worker count*, with both steps
-    /// claiming chunks off shared atomic cursors — so a hub chunk's heavy
-    /// column stalls one worker for one chunk, not one shard for the whole
-    /// barrier.
-    ///
-    /// * The node range is split into `cols` chunks of `chunk` nodes: the
-    ///   configured [`RoundBarrier::chunk_size`], coarsened until at most
-    ///   [`DISPATCH_CHUNKS_PER_WORKER`] chunks per worker remain (the
-    ///   bucket matrix is `cols²` and must stay cheap to transpose).
-    /// * *Route* — a worker claims a sender chunk and drains its outboxes
-    ///   into that chunk's bucket row, keyed by receiver chunk. Each bucket
-    ///   is written by exactly one worker, in canonical (node, send) order.
-    /// * *Deliver* — a worker claims a receiver chunk and drains its bucket
-    ///   column in ascending sender-chunk order, filling each mailbox in
-    ///   exactly the serial order. The chunk doubles as the cache block:
-    ///   until its column is dry a worker touches only `chunk` consecutive
-    ///   mailboxes, so receiver-side writes stay inside an L2-sized window
-    ///   instead of striding the whole mailbox array.
-    ///
-    /// Ledger partials use the same order-independent atomic scratch as the
-    /// static path (one touched list per worker), so the merged ledger is
-    /// bit-identical to the serial one whichever worker claimed what.
-    fn deliver_parallel_dynamic(&mut self, b: RoundBarrier<'_, M>) {
-        let RoundBarrier {
-            shards,
-            chunk_size,
-            outboxes,
-            mailboxes,
-            ledger,
-            ..
-        } = b;
-        let node_count = mailboxes.len();
-        let chunk = chunk_size
-            .max(node_count.div_ceil(shards * DISPATCH_CHUNKS_PER_WORKER))
-            .max(1);
-        let cols = node_count.div_ceil(chunk);
-        let edge_slots = ledger.edge_slots();
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| DispatchScratch::new(edge_slots, shards));
-        if scratch.edge_counts.len() < edge_slots {
-            scratch
-                .edge_counts
-                .resize_with(edge_slots, || AtomicU32::new(0));
-            scratch
-                .edge_bytes
-                .resize_with(edge_slots, || AtomicU64::new(0));
-        }
         if self.buckets.len() != cols * cols {
             self.buckets.clear();
             self.buckets.resize_with(cols * cols, Vec::new);
             self.bucket_scratch.clear();
             self.bucket_scratch.resize_with(cols * cols, Vec::new);
         }
-        let workers = shards.min(cols);
 
-        // Route: claim sender chunks until the cursor runs dry.
-        let route_chunks: RouteQueue<'_, M> = outboxes
-            .chunks_mut(chunk)
-            .zip(self.buckets.chunks_mut(cols))
-            .map(|pair| Mutex::new(Some(pair)))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let route_chunks = &route_chunks;
-                scope.spawn(move || loop {
-                    let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = route_chunks.get(claimed) else {
-                        break;
-                    };
-                    let (outboxes, row) = slot
-                        .lock()
-                        .expect("a chunk claim cannot be poisoned")
-                        .take()
-                        .expect("the cursor hands each chunk to exactly one worker");
-                    for outbox in outboxes {
-                        for outgoing in outbox.drain(..) {
-                            row[outgoing.receiver.index() / chunk].push(outgoing);
-                        }
+        // Route: sender chunks into their bucket rows. Buckets are empty
+        // here (drained by the previous delivery).
+        claim_each(
+            &mut vec![(); workers],
+            outboxes
+                .chunks_mut(chunk)
+                .zip(self.buckets.chunks_mut(cols))
+                .collect(),
+            |_, (outboxes, row)| {
+                for outbox in outboxes {
+                    for outgoing in outbox.drain(..) {
+                        row[outgoing.receiver.index() / chunk].push(outgoing);
                     }
-                });
-            }
-        });
+                }
+            },
+        );
 
-        // Transpose to column-major (header moves only), on the cols×cols
-        // grid.
+        // Transpose to column-major so each receiver chunk's column is one
+        // contiguous slice (header moves only, no message is copied).
         for sender in 0..cols {
             for receiver in 0..cols {
                 self.bucket_scratch[receiver * cols + sender] =
@@ -383,63 +221,52 @@ impl<M: Send + Sync> InProcessTransport<M> {
             }
         }
 
-        // Deliver: claim receiver chunks; each column drains in ascending
+        // Deliver: receiver chunks drain their columns in ascending
         // sender-chunk order.
         let edge_counts = &scratch.edge_counts;
         let edge_bytes = &scratch.edge_bytes;
-        let delivery_chunks: DeliveryQueue<'_, M> = mailboxes
-            .chunks_mut(chunk)
-            .zip(self.bucket_scratch.chunks_mut(cols))
-            .enumerate()
-            .map(|(slot, (mailboxes, column))| Mutex::new(Some((slot * chunk, mailboxes, column))))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for touched in scratch.touched.iter_mut().take(workers) {
-                let cursor = &cursor;
-                let delivery_chunks = &delivery_chunks;
-                scope.spawn(move || loop {
-                    let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = delivery_chunks.get(claimed) else {
-                        break;
-                    };
-                    let (lo, mailboxes, column) = slot
-                        .lock()
-                        .expect("a chunk claim cannot be poisoned")
-                        .take()
-                        .expect("the cursor hands each chunk to exactly one worker");
-                    for mailbox in mailboxes.iter_mut() {
-                        mailbox.clear();
-                    }
-                    for bucket in column {
-                        for outgoing in bucket.drain(..) {
-                            let edge = outgoing.edge.index();
-                            // First toucher of the round claims the edge for
-                            // its merge list; the lists partition the
-                            // touched set.
-                            if edge_counts[edge].fetch_add(1, Ordering::Relaxed) == 0 {
-                                touched.push(edge as u32);
-                            }
-                            edge_bytes[edge].fetch_add(outgoing.bytes, Ordering::Relaxed);
-                            mailboxes[outgoing.receiver.index() - lo].push(Envelope {
-                                edge: outgoing.edge,
-                                from: outgoing.sender,
-                                payload: outgoing.payload,
-                            });
+        claim_each(
+            &mut scratch.touched[..workers],
+            mailboxes
+                .chunks_mut(chunk)
+                .zip(self.bucket_scratch.chunks_mut(cols))
+                .enumerate()
+                .collect(),
+            |touched, (slot, (mailboxes, column))| {
+                let lo = slot * chunk;
+                for mailbox in mailboxes.iter_mut() {
+                    mailbox.clear();
+                }
+                for bucket in column {
+                    for outgoing in bucket.drain(..) {
+                        let edge = outgoing.edge.index();
+                        // First toucher of the round claims the edge for its
+                        // merge list; the lists partition the touched set.
+                        if edge_counts[edge].fetch_add(1, Ordering::Relaxed) == 0 {
+                            touched.push(edge as u32);
                         }
+                        edge_bytes[edge].fetch_add(outgoing.bytes, Ordering::Relaxed);
+                        mailboxes[outgoing.receiver.index() - lo].push(Envelope {
+                            edge: outgoing.edge,
+                            from: outgoing.sender,
+                            payload: outgoing.payload,
+                        });
                     }
-                });
-            }
-        });
+                }
+            },
+        );
 
-        // Back to row-major for the next round's route step, then merge the
-        // partials exactly like the static path (order-independent sums).
+        // Return the (empty, capacity-bearing) buckets to row-major for the
+        // next round's route step.
         for sender in 0..cols {
             for receiver in 0..cols {
                 self.buckets[sender * cols + receiver] =
                     std::mem::take(&mut self.bucket_scratch[receiver * cols + sender]);
             }
         }
+        // Merge the partials. Each touched edge appears in exactly one list
+        // and its accumulators hold the full round totals by now, so one
+        // `record_bulk` per edge reproduces the serial ledger bit for bit.
         for touched in scratch.touched.iter_mut() {
             for &edge in touched.iter() {
                 let edge = edge as usize;
@@ -457,10 +284,8 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
         let local_sent = barrier.local_sent;
         if barrier.shards == 1 || barrier.traced || local_sent == 0 {
             self.deliver_serial(barrier);
-        } else if barrier.sched == Scheduling::Static {
-            self.deliver_parallel(barrier);
         } else {
-            self.deliver_parallel_dynamic(barrier);
+            self.deliver_chunked(barrier);
         }
         Ok(BarrierOutcome::local(local_sent))
     }

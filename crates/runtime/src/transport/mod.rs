@@ -8,7 +8,7 @@
 //! backend-independent; the barrier itself is a [`Transport`]:
 //!
 //! * [`InProcessTransport`] — the default: the zero-allocation
-//!   double-buffered fast path (serial or receiver-sharded parallel
+//!   double-buffered fast path (serial or receiver-chunked parallel
 //!   delivery) the engine has always used. Payloads move by value, nothing
 //!   is serialized.
 //! * [`TcpTransport`] — multi-process execution over localhost (or any
@@ -37,7 +37,6 @@ pub use mock::{Disturbance, FrameRecord, MockTransport};
 pub use tcp::{RejoinHello, TcpConfig, TcpTransport};
 
 use crate::churn::ChurnEvent;
-use crate::engine::Scheduling;
 use crate::error::RuntimeResult;
 use crate::metrics::{ExecutionMetrics, MessageLedger};
 use crate::node::{Envelope, Outgoing};
@@ -70,16 +69,11 @@ pub struct RoundBarrier<'a, M> {
     /// Effective worker-shard count of this execution (a parallelism hint;
     /// a backend may ignore it and deliver serially).
     pub shards: usize,
-    /// The execution's [`Scheduling`] mode — like `shards`, a parallelism
-    /// hint. The in-process backend mirrors it: static receiver-sharded
-    /// delivery under [`Scheduling::Static`], chunk-claiming delivery
-    /// workers under [`Scheduling::Dynamic`]. Wire backends may ignore it.
-    pub sched: Scheduling,
-    /// Target nodes per work-stealing chunk
-    /// ([`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size));
-    /// only meaningful under [`Scheduling::Dynamic`]. A backend may clamp
-    /// it (the in-process dispatch coarsens the grid so its bucket matrix
-    /// stays small — see `docs/PERF.md` §2).
+    /// Target nodes per claimable chunk
+    /// ([`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size))
+    /// — like `shards`, a parallelism hint wire backends may ignore. A
+    /// backend may clamp it (the in-process dispatch coarsens the grid so
+    /// its bucket matrix stays small — see `docs/PERF.md` §2).
     pub chunk_size: usize,
     /// Whether this round must record trace events (canonical order).
     pub traced: bool,

@@ -25,7 +25,7 @@ use freelunch::graph::{MultiGraph, NodeId};
 use freelunch::runtime::transport::{MockTransport, TcpConfig, TcpTransport, WireCodec};
 use freelunch::runtime::{
     Context, Envelope, ExecutionMetrics, FaultPlan, InitialKnowledge, MessageLedger, Network,
-    NetworkConfig, NodeProgram, Scheduling, Trace, TraceMode, DEFAULT_CHUNK_SIZE,
+    NetworkConfig, NodeProgram, Trace, TraceMode, DEFAULT_CHUNK_SIZE,
 };
 use std::fmt::Debug;
 use std::net::{SocketAddr, TcpListener};
@@ -587,22 +587,21 @@ fn planner_reports_are_shard_and_trace_invariant() {
     }
 }
 
-/// `SCHED_PARITY_SMOKE=1` shrinks the scheduling-parity grid (one
-/// workload, one shard count, one chunk size) for quick CI signal; the
-/// full grid runs under plain `cargo test`.
-fn sched_smoke() -> bool {
-    std::env::var_os("SCHED_PARITY_SMOKE").is_some()
+/// `CHUNK_PARITY_SMOKE=1` shrinks the chunk-parity grid (one workload,
+/// one shard count, one chunk size) for quick CI signal; the full grid
+/// runs under plain `cargo test`.
+fn chunk_smoke() -> bool {
+    std::env::var_os("CHUNK_PARITY_SMOKE").is_some()
 }
 
-/// The scheduling-parity rows of the matrix: the work-stealing scheduler
-/// (`Scheduling::Dynamic`, the default) and the static contiguous shard
-/// partition (`Scheduling::Static`, the pre-stealing engine) must both be
-/// bit-identical to the sequential engine — outputs, metrics, ledgers and
-/// traces — at every shard count and chunk size. The 7-node chunk forces
-/// real stealing (≈14 chunks race between the workers at n = 96); the
-/// default chunk collapses to one chunk per worker, pinning the
-/// boundary case where dynamic degenerates to the static partition.
-fn assert_sched_parity<P, O>(
+/// The chunk-parity rows of the matrix: the work-stealing scheduler must
+/// be bit-identical to the sequential engine — outputs, metrics, ledgers
+/// and traces — at every shard count and chunk size. The 1- and 7-node
+/// chunks force real stealing (≈96 and ≈14 chunks race between the
+/// workers at n = 96); the default chunk collapses to one chunk per worker
+/// in execute and one dispatch column; `⌈n / shards⌉` is one contiguous
+/// range per worker in both phases.
+fn assert_chunk_parity<P, O>(
     graph: &MultiGraph,
     seed: u64,
     budget: u32,
@@ -613,19 +612,14 @@ fn assert_sched_parity<P, O>(
     P: NodeProgram,
     O: PartialEq + Debug,
 {
-    let shard_counts: &[usize] = if sched_smoke() { &[2] } else { &SHARD_COUNTS };
-    let chunk_sizes: &[usize] = if sched_smoke() {
-        &[7]
-    } else {
-        &[7, DEFAULT_CHUNK_SIZE]
-    };
+    let shard_counts: &[usize] = if chunk_smoke() { &[2] } else { &SHARD_COUNTS };
+    let n = graph.node_count();
     for trace_mode in [TraceMode::Full, TraceMode::Off] {
-        let run = |shards: usize, sched: Scheduling, chunk: usize| {
+        let run = |shards: usize, chunk: usize| {
             let config = NetworkConfig::with_seed(seed)
                 .traced(100_000)
                 .trace_mode(trace_mode)
                 .sharded(shards)
-                .scheduling(sched)
                 .chunk_size(chunk);
             let mut network = Network::new(graph, config, factory).unwrap();
             network.run_until_halt(budget).unwrap();
@@ -637,28 +631,29 @@ fn assert_sched_parity<P, O>(
                 network.trace().clone(),
             )
         };
-        let serial = run(1, Scheduling::Dynamic, DEFAULT_CHUNK_SIZE);
+        let serial = run(1, DEFAULT_CHUNK_SIZE);
         for &shards in shard_counts {
-            for sched in [Scheduling::Dynamic, Scheduling::Static] {
-                for &chunk in chunk_sizes {
-                    let parallel = run(shards, sched, chunk);
-                    let where_ = format!(
-                        "{label}: {shards} shards, {sched:?}, chunk {chunk} ({trace_mode:?})"
-                    );
-                    assert_eq!(serial.0, parallel.0, "{where_}: outputs differ");
-                    assert_eq!(serial.1, parallel.1, "{where_}: metrics differ");
-                    assert_eq!(serial.2, parallel.2, "{where_}: ledgers differ");
-                    assert_eq!(serial.3, parallel.3, "{where_}: traces differ");
-                }
+            let chunk_sizes = if chunk_smoke() {
+                vec![7]
+            } else {
+                vec![1, 7, DEFAULT_CHUNK_SIZE, n.div_ceil(shards)]
+            };
+            for chunk in chunk_sizes {
+                let parallel = run(shards, chunk);
+                let where_ = format!("{label}: {shards} shards, chunk {chunk} ({trace_mode:?})");
+                assert_eq!(serial.0, parallel.0, "{where_}: outputs differ");
+                assert_eq!(serial.1, parallel.1, "{where_}: metrics differ");
+                assert_eq!(serial.2, parallel.2, "{where_}: ledgers differ");
+                assert_eq!(serial.3, parallel.3, "{where_}: traces differ");
             }
         }
     }
 }
 
 /// One workload in smoke mode, all three in the full grid.
-fn sched_parity_workloads() -> Vec<(&'static str, MultiGraph)> {
+fn chunk_parity_workloads() -> Vec<(&'static str, MultiGraph)> {
     let mut families = workloads();
-    if sched_smoke() {
+    if chunk_smoke() {
         families.truncate(1);
     }
     families
@@ -666,8 +661,8 @@ fn sched_parity_workloads() -> Vec<(&'static str, MultiGraph)> {
 
 #[test]
 fn luby_mis_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
-        assert_sched_parity(
+    for (name, graph) in chunk_parity_workloads() {
+        assert_chunk_parity(
             &graph,
             1,
             300,
@@ -680,8 +675,8 @@ fn luby_mis_is_scheduling_invariant() {
 
 #[test]
 fn randomized_coloring_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
-        assert_sched_parity(
+    for (name, graph) in chunk_parity_workloads() {
+        assert_chunk_parity(
             &graph,
             2,
             400,
@@ -694,8 +689,8 @@ fn randomized_coloring_is_scheduling_invariant() {
 
 #[test]
 fn ball_gathering_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
-        assert_sched_parity(
+    for (name, graph) in chunk_parity_workloads() {
+        assert_chunk_parity(
             &graph,
             3,
             50,
@@ -708,8 +703,8 @@ fn ball_gathering_is_scheduling_invariant() {
 
 #[test]
 fn maximal_matching_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
-        assert_sched_parity(
+    for (name, graph) in chunk_parity_workloads() {
+        assert_chunk_parity(
             &graph,
             5,
             300,

@@ -602,16 +602,17 @@ fn matrix_grid_meets_the_acceptance_floor() {
     }
 }
 
-/// The scheduling-parity row of the fault matrix: under the combined chaos
+/// The chunk-parity row of the fault matrix: under the combined chaos
 /// adversary (drop + duplicate + reorder + crash + link cuts) the
-/// work-stealing scheduler must reproduce the sequential engine and the
-/// static shard partition bit-for-bit. Fault fates are resolved from a
-/// ChaCha stream keyed per message, so they cannot observe which worker
-/// stepped the sender — this row pins that the chunk-claiming order
+/// work-stealing scheduler must reproduce the sequential engine
+/// bit-for-bit at every chunk size, from one node per chunk to one
+/// contiguous `⌈n / shards⌉` range per worker. Fault fates are resolved
+/// from a ChaCha stream keyed per message, so they cannot observe which
+/// worker stepped the sender — this row pins that the chunk-claiming order
 /// genuinely never leaks into fault resolution.
 #[test]
 fn fault_matrix_scheduling_parity() {
-    use freelunch::runtime::Scheduling;
+    use freelunch::runtime::DEFAULT_CHUNK_SIZE;
     let graph = workloads().remove(0).1;
     let n = graph.node_count();
     let m = graph.edge_count();
@@ -623,11 +624,10 @@ fn fault_matrix_scheduling_parity() {
     for e in (0..m as u64).step_by(9) {
         plan = plan.with_link_cut(EdgeId::new(e), 2);
     }
-    let run = |shards: usize, sched: Scheduling| {
+    let run = |shards: usize, chunk: usize| {
         let config = NetworkConfig::with_seed(7)
             .sharded(shards)
-            .scheduling(sched)
-            .chunk_size(5);
+            .chunk_size(chunk);
         let mut network = Network::with_fault_plan(&graph, config, plan.clone(), |_, knowledge| {
             LubyMis::new(knowledge.degree())
         })
@@ -641,13 +641,13 @@ fn fault_matrix_scheduling_parity() {
             error,
         }
     };
-    let serial = run(1, Scheduling::Dynamic);
+    let serial = run(1, DEFAULT_CHUNK_SIZE);
     for shards in [2, 8] {
-        for sched in [Scheduling::Dynamic, Scheduling::Static] {
+        for chunk in [1, 7, DEFAULT_CHUNK_SIZE, n.div_ceil(shards)] {
             assert_eq!(
                 serial,
-                run(shards, sched),
-                "chaos run differs at {shards} shards under {sched:?}"
+                run(shards, chunk),
+                "chaos run differs at {shards} shards, chunk {chunk}"
             );
         }
     }

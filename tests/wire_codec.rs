@@ -404,9 +404,10 @@ fn checkpoint_header_magic_version_and_padding_corruption_is_rejected() {
             "magic corruption at byte {position} went unnoticed"
         );
     }
-    // Every unknown version byte is rejected (version 2 is the only live
-    // one), so a future layout bump can never be misparsed by this build.
-    for version in (0u8..=255).filter(|&v| v != 2) {
+    // Every unknown version byte is rejected (version 3 is the only live
+    // one), so a file of an older or future layout can never be misparsed
+    // by this build.
+    for version in (0u8..=255).filter(|&v| v != 3) {
         let mut bad = encoded.clone();
         bad[4] = version;
         assert_eq!(
