@@ -4,8 +4,8 @@
 //! For each [`ScalingWorkload`] family and node count, the same fixed-round
 //! neighbor-exchange program is executed with 1, 2 and 8 shards; each
 //! parallel shard count runs at the work-stealing default chunk size and at
-//! one contiguous `⌈n / shards⌉` range per worker. The run
-//! asserts that rounds, message counts and per-round metrics are
+//! one contiguous `⌈n / shards⌉` range per worker. The run asserts that
+//! rounds, message counts, per-round metrics and the message ledger are
 //! bit-identical across shard counts (the engine's core guarantee), and
 //! records wall-clock time and the speedup over the 1-shard execution —
 //! honest numbers for whatever hardware the sweep ran on: the speedup
@@ -38,7 +38,8 @@ use freelunch_bench::{
 };
 use freelunch_graph::MultiGraph;
 use freelunch_runtime::{
-    Context, Envelope, Network, NetworkConfig, NodeProgram, DEFAULT_CHUNK_SIZE,
+    Context, Envelope, ExecutionMetrics, MessageLedger, Network, NetworkConfig, NodeProgram,
+    DEFAULT_CHUNK_SIZE,
 };
 use std::time::Instant;
 
@@ -85,7 +86,8 @@ struct RunResult {
     /// Mixed digest of every node's final state — a cheap whole-output
     /// fingerprint for the cross-shard identity check.
     digest: u64,
-    metrics: freelunch_runtime::ExecutionMetrics,
+    metrics: ExecutionMetrics,
+    ledger: MessageLedger,
 }
 
 fn run_once(graph: &MultiGraph, shards: usize, chunk: usize) -> RunResult {
@@ -105,6 +107,7 @@ fn run_once(graph: &MultiGraph, shards: usize, chunk: usize) -> RunResult {
     let elapsed_s = start.elapsed().as_secs_f64();
     let cost = network.cost();
     let metrics = network.metrics().clone();
+    let ledger = network.ledger().clone();
     let digest = network
         .into_programs()
         .into_iter()
@@ -115,6 +118,7 @@ fn run_once(graph: &MultiGraph, shards: usize, chunk: usize) -> RunResult {
         rounds: cost.rounds,
         digest,
         metrics,
+        ledger,
     }
 }
 
@@ -126,6 +130,7 @@ fn run_best_of(graph: &MultiGraph, shards: usize, chunk: usize) -> RunResult {
         let next = run_once(graph, shards, chunk);
         assert_eq!(best.digest, next.digest, "nondeterministic repetition");
         assert_eq!(best.metrics, next.metrics, "nondeterministic repetition");
+        assert_eq!(best.ledger, next.ledger, "nondeterministic repetition");
         if next.elapsed_s < best.elapsed_s {
             best.elapsed_s = next.elapsed_s;
         }
@@ -184,7 +189,8 @@ fn main() {
                         let identical = reference.digest == result.digest
                             && reference.messages == result.messages
                             && reference.rounds == result.rounds
-                            && reference.metrics == result.metrics;
+                            && reference.metrics == result.metrics
+                            && reference.ledger == result.ledger;
                         assert!(
                             identical,
                             "{}/{n}: {shards}-shard chunk {chunk_label} run diverged from sequential",

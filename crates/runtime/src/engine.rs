@@ -8,12 +8,16 @@
 //!
 //! # The message plane
 //!
-//! Messages live in flat, **double-buffered per-node mailboxes**: the front
-//! buffer holds the inboxes the programs read this round, the back buffer
-//! collects the messages they send. At the start of each round the two are
-//! swapped and the (now stale) back buffer is cleared — never reallocated —
-//! so in steady state a round performs **no per-message allocation**:
-//! outboxes, inboxes and metrics scratch are all reused across rounds.
+//! Messages live in **double-buffered per-node mailboxes**, one `Vec` per
+//! node in each buffer: the front buffer holds the inboxes the programs
+//! read this round, the back buffer collects the messages they send. At
+//! the start of each round the two are swapped and the (now stale) back
+//! buffer is cleared — never reallocated — so in steady state a round
+//! performs **no per-message allocation**: outboxes, inboxes and metrics
+//! scratch are all reused across rounds. A mailbox gets its first buffer
+//! at the barrier that first fills it, sized exactly to that round's count
+//! and allocated in ascending receiver order, so neighbouring inboxes sit
+//! next to each other in memory.
 //! Sends are resolved when the program makes them ([`Context::send_port`]
 //! reads the receiver straight off the node's packed CSR incidence slice;
 //! [`Context::send`] validates with one dense array read), so the barrier
@@ -894,14 +898,16 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     }
 
     /// Dispatch phase: the round barrier. Applies the fault plan's message
-    /// faults (a no-op without one), counts every surviving outbox into the
-    /// metrics (sender-side, canonical node order), then hands the outboxes
-    /// to the [`Transport`] to deliver into the back mailbox buffer, and
-    /// finally applies the plan's delivery perturbation. All sends were
-    /// validated at send time, so on the in-process backend this phase
-    /// cannot fail; wire backends can surface transport errors.
+    /// faults (a no-op without one), sizes the back buffer's never-filled
+    /// mailboxes, counts every surviving outbox into the metrics
+    /// (sender-side, canonical node order), then hands the outboxes to the
+    /// [`Transport`] to deliver into the back mailbox buffer, and finally
+    /// applies the plan's delivery perturbation. All sends were validated
+    /// at send time, so on the in-process backend this phase cannot fail;
+    /// wire backends can surface transport errors.
     fn dispatch_phase(&mut self, round: u32) -> RuntimeResult<()> {
         self.apply_message_faults(round);
+        self.size_new_mailboxes();
         let mut round_total = 0u64;
         for (index, outbox) in self.outboxes.iter().enumerate() {
             let count = outbox.len() as u64;
@@ -979,6 +985,37 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 }
             }
             std::mem::swap(outbox, scratch);
+        }
+    }
+
+    /// Gives every owned back-buffer mailbox that has never held a buffer
+    /// its first one, at exactly the size this round fills it to: one pass
+    /// over the (post-fault) outboxes counts the messages per receiver,
+    /// then the mailboxes are `reserve_exact`ed in ascending receiver
+    /// order. A receiver's buffer is thus allocated once, next to its
+    /// neighbours' — not grown by doubling, scattered in sender order.
+    /// Mailboxes that already have a buffer keep it and grow by push; once
+    /// every mailbox has one, this is a single scan of the mailbox headers.
+    ///
+    /// The counts cover local senders only, so on a wire backend a
+    /// mailbox that also receives from remote ranks starts at a lower
+    /// bound and grows by push from there.
+    fn size_new_mailboxes(&mut self) {
+        let owned = self.owned.clone();
+        if self.pending[owned.clone()]
+            .iter()
+            .all(|mailbox| mailbox.capacity() > 0)
+        {
+            return;
+        }
+        let mut counts = vec![0u32; self.pending.len()];
+        for outgoing in self.outboxes.iter().flatten() {
+            counts[outgoing.receiver.index()] += 1;
+        }
+        for (mailbox, &count) in self.pending[owned.clone()].iter_mut().zip(&counts[owned]) {
+            if mailbox.capacity() == 0 {
+                mailbox.reserve_exact(count as usize);
+            }
         }
     }
 
@@ -1283,8 +1320,8 @@ where
             churn_events: self.churn_events.clone(),
             metrics_messages_per_round: self.metrics.messages_per_round.clone(),
             metrics_messages_per_node: self.metrics.messages_per_node.clone(),
-            ledger_messages_per_edge: self.ledger.messages_per_edge().to_vec(),
-            ledger_bytes_per_edge: self.ledger.bytes_per_edge().to_vec(),
+            ledger_messages_per_edge: self.ledger.messages_per_edge(),
+            ledger_bytes_per_edge: self.ledger.bytes_per_edge(),
             ledger_messages_per_round: self.ledger.messages_per_round().to_vec(),
             ledger_bytes_per_round: self.ledger.bytes_per_round().to_vec(),
             ledger_max_edge_messages_per_round: self.ledger.max_edge_messages_per_round().to_vec(),
@@ -1493,7 +1530,7 @@ where
         for (index, mailbox) in checkpoint.pending.iter().enumerate() {
             let target = &mut network.pending[index];
             target.clear();
-            target.reserve(mailbox.len());
+            target.reserve_exact(mailbox.len());
             for (slot, envelope) in mailbox.iter().enumerate() {
                 let payload =
                     <P::Message as WireCodec>::decode(&envelope.payload).map_err(|e| {
@@ -1516,8 +1553,8 @@ where
             messages_per_node: checkpoint.metrics_messages_per_node.clone(),
         };
         network.ledger = MessageLedger::from_checkpoint_parts(
-            checkpoint.ledger_messages_per_edge.clone(),
-            checkpoint.ledger_bytes_per_edge.clone(),
+            &checkpoint.ledger_messages_per_edge,
+            &checkpoint.ledger_bytes_per_edge,
             checkpoint.ledger_messages_per_round.clone(),
             checkpoint.ledger_bytes_per_round.clone(),
             checkpoint.ledger_max_edge_messages_per_round.clone(),
@@ -1960,12 +1997,17 @@ mod tests {
 
     #[test]
     fn mailboxes_and_outboxes_are_reused_across_rounds() {
-        /// Broadcasts every round for 6 rounds.
-        struct Chatter;
+        /// Broadcasts every round for 6 rounds (from round 1 on when
+        /// `quiet_init`, so init fills no mailbox).
+        struct Chatter {
+            quiet_init: bool,
+        }
         impl NodeProgram for Chatter {
             type Message = u64;
             fn init(&mut self, ctx: &mut Context<'_, u64>) {
-                ctx.broadcast(1);
+                if !self.quiet_init {
+                    ctx.broadcast(1);
+                }
             }
             fn round(&mut self, ctx: &mut Context<'_, u64>, _inbox: &[Envelope<u64>]) {
                 if ctx.round() < 6 {
@@ -1975,26 +2017,52 @@ mod tests {
                 }
             }
         }
-        for shards in [1, 3] {
-            let graph = cycle(9);
-            let config = NetworkConfig::with_seed(5).sharded(shards);
-            let mut network = Network::new(&graph, config, |_, _| Chatter).unwrap();
-            network.run_rounds(3).unwrap();
-            let capacities: Vec<(usize, usize, usize)> = (0..9)
-                .map(|v| {
-                    (
-                        network.inboxes[v].capacity(),
-                        network.pending[v].capacity(),
-                        network.outboxes[v].capacity(),
-                    )
-                })
-                .collect();
-            network.run_rounds(3).unwrap();
-            // Steady state: three more identical rounds grow no buffer.
-            for (v, expected) in capacities.iter().enumerate() {
-                assert_eq!(network.inboxes[v].capacity(), expected.0, "{shards}");
-                assert_eq!(network.pending[v].capacity(), expected.1, "{shards}");
-                assert_eq!(network.outboxes[v].capacity(), expected.2, "{shards}");
+        // A 9-cycle with two chords at node 0: mailboxes of 2, 3 and 4.
+        let mut graph = cycle(9);
+        for v in [3, 5] {
+            graph.add_edge(NodeId::new(0), NodeId::new(v)).unwrap();
+        }
+        for quiet_init in [false, true] {
+            for shards in [1, 3] {
+                let case = format!("quiet_init={quiet_init} shards={shards}");
+                let config = NetworkConfig::with_seed(5).sharded(shards);
+                let mut network =
+                    Network::new(&graph, config, |_, _| Chatter { quiet_init }).unwrap();
+                network.initialize().unwrap();
+                if quiet_init {
+                    assert!(network.pending.iter().all(|m| m.capacity() == 0), "{case}");
+                }
+                // The first fill of each of the two mailbox buffers sizes
+                // every mailbox to exactly the messages it receives.
+                let first_fills = if quiet_init { 1..3 } else { 0..2 };
+                for round in 0..3 {
+                    if round > 0 {
+                        network.run_round().unwrap();
+                    }
+                    if first_fills.contains(&round) {
+                        for (v, mailbox) in network.pending.iter().enumerate() {
+                            let received = graph.degree(NodeId::from_usize(v));
+                            assert_eq!(mailbox.len(), received, "{case} v={v}");
+                            assert_eq!(mailbox.capacity(), received, "{case} v={v}");
+                        }
+                    }
+                }
+                let capacities: Vec<(usize, usize, usize)> = (0..9)
+                    .map(|v| {
+                        (
+                            network.inboxes[v].capacity(),
+                            network.pending[v].capacity(),
+                            network.outboxes[v].capacity(),
+                        )
+                    })
+                    .collect();
+                network.run_rounds(3).unwrap();
+                // Steady state: three more identical rounds grow no buffer.
+                for (v, expected) in capacities.iter().enumerate() {
+                    assert_eq!(network.inboxes[v].capacity(), expected.0, "{case}");
+                    assert_eq!(network.pending[v].capacity(), expected.1, "{case}");
+                    assert_eq!(network.outboxes[v].capacity(), expected.2, "{case}");
+                }
             }
         }
     }

@@ -267,11 +267,9 @@ impl CongestionSnapshot {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MessageLedger {
-    /// Messages carried by each edge over the whole execution, indexed by
-    /// [`EdgeId::index`].
-    messages_per_edge: Vec<u64>,
-    /// Payload bytes carried by each edge over the whole execution.
-    bytes_per_edge: Vec<u64>,
+    /// One tally record per edge slot, indexed by [`EdgeId::index`]: the
+    /// whole-execution totals plus the current-slot congestion counter.
+    edges: Vec<EdgeTally>,
     /// Messages sent in each round slot (slot 0 = initialization).
     messages_per_round: Vec<u64>,
     /// Payload bytes sent in each round slot.
@@ -280,34 +278,29 @@ pub struct MessageLedger {
     /// any single edge within that slot.
     max_edge_messages_per_round: Vec<u64>,
     /// Fault column: messages dropped by fault injection in each round slot
-    /// (all causes). Always all-zero for failure-free executions; the
-    /// `serde(default)` keeps ledgers recorded before the column existed
-    /// deserializable.
-    #[serde(default)]
+    /// (all causes). Always all-zero for failure-free executions.
     dropped_per_round: Vec<u64>,
     /// Fault column: messages duplicated by fault injection in each round
     /// slot.
-    #[serde(default)]
     duplicated_per_round: Vec<u64>,
     /// Fault column: total drops attributed to [`FaultCause::Random`].
-    #[serde(default)]
     dropped_random: u64,
     /// Fault column: total drops attributed to [`FaultCause::LinkCut`].
-    #[serde(default)]
     dropped_link_cut: u64,
     /// Fault column: total drops attributed to [`FaultCause::Crash`].
-    #[serde(default)]
     dropped_crash: u64,
-    /// Scratch: per-edge counts within the current round slot only. Not part
-    /// of the serialized contract.
-    #[serde(skip)]
-    round_edge_counts: Vec<u64>,
-    /// Scratch: edges touched in the current round slot (reset lazily so a
-    /// round costs `O(messages)`, never `O(m)`). Not part of the serialized
-    /// contract.
-    #[serde(skip)]
-    touched: Vec<usize>,
 }
+
+/// One edge's tally, `[messages, bytes, round_messages, round_slot]`:
+/// everything [`MessageLedger::record_bulk`] touches for an edge, in one
+/// 32-byte record (one cache line per recorded edge). A plain array, so a
+/// fresh ledger's records come from zeroed memory instead of being written
+/// one by one.
+///
+/// `round_messages` counts the edge's messages within round slot
+/// `round_slot` only. A record stamped with an older slot is stale and
+/// reads as zero, so opening a slot never walks the edges.
+type EdgeTally = [u64; 4];
 
 impl Default for MessageLedger {
     /// An empty ledger with no per-edge slots — unlike the derived default,
@@ -318,16 +311,18 @@ impl Default for MessageLedger {
 }
 
 /// Equality covers exactly the serialized contract (per-edge and per-round
-/// counts, bytes, congestion, and the fault-accounting column). The
-/// `#[serde(skip)]` scratch is excluded: the
-/// engine's parallel round barrier discovers the edges touched in a round in
-/// worker order, so the scratch's *insertion order* can differ between a
-/// serial and a sharded dispatch of the same execution even though every
-/// recorded value is bit-identical.
+/// counts, bytes, congestion, and the fault-accounting column). Each
+/// edge's current-slot counter and stamp are excluded: they only feed the
+/// congestion column, which is compared, and a ledger restored from a
+/// checkpoint re-creates them zeroed.
 impl PartialEq for MessageLedger {
     fn eq(&self, other: &Self) -> bool {
-        self.messages_per_edge == other.messages_per_edge
-            && self.bytes_per_edge == other.bytes_per_edge
+        self.edges.len() == other.edges.len()
+            && self.edges.iter().zip(&other.edges).all(
+                |(&[messages, bytes, ..], &[other_messages, other_bytes, ..])| {
+                    (messages, bytes) == (other_messages, other_bytes)
+                },
+            )
             && self.messages_per_round == other.messages_per_round
             && self.bytes_per_round == other.bytes_per_round
             && self.max_edge_messages_per_round == other.max_edge_messages_per_round
@@ -347,8 +342,7 @@ impl MessageLedger {
     /// initialization round slot open.
     pub fn new(edge_slots: usize) -> Self {
         MessageLedger {
-            messages_per_edge: vec![0; edge_slots],
-            bytes_per_edge: vec![0; edge_slots],
+            edges: vec![[0; 4]; edge_slots],
             messages_per_round: vec![0],
             bytes_per_round: vec![0],
             max_edge_messages_per_round: vec![0],
@@ -357,21 +351,19 @@ impl MessageLedger {
             dropped_random: 0,
             dropped_link_cut: 0,
             dropped_crash: 0,
-            round_edge_counts: vec![0; edge_slots],
-            touched: Vec::new(),
         }
     }
 
     /// Rebuilds a ledger from its checkpointed serialized-contract columns
-    /// (see `docs/RECOVERY.md`). The `#[serde(skip)]` scratch is re-created
-    /// zeroed, which is exact at a round boundary: scratch only carries
-    /// intra-slot congestion state, and the first thing a resumed engine
-    /// does to its ledger is [`MessageLedger::start_round`], which resets
-    /// the scratch anyway.
+    /// (see `docs/RECOVERY.md`). Each edge's current-slot counter is
+    /// re-created zeroed, which is exact at a round boundary: it only
+    /// carries intra-slot congestion state, and the first thing a resumed
+    /// engine does to its ledger is [`MessageLedger::start_round`], which
+    /// opens a slot no record is stamped with.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_checkpoint_parts(
-        messages_per_edge: Vec<u64>,
-        bytes_per_edge: Vec<u64>,
+        messages_per_edge: &[u64],
+        bytes_per_edge: &[u64],
         messages_per_round: Vec<u64>,
         bytes_per_round: Vec<u64>,
         max_edge_messages_per_round: Vec<u64>,
@@ -381,10 +373,14 @@ impl MessageLedger {
         dropped_link_cut: u64,
         dropped_crash: u64,
     ) -> Self {
-        let edge_slots = messages_per_edge.len();
+        debug_assert_eq!(messages_per_edge.len(), bytes_per_edge.len());
+        let edges = messages_per_edge
+            .iter()
+            .zip(bytes_per_edge)
+            .map(|(&messages, &bytes)| [messages, bytes, 0, 0])
+            .collect();
         MessageLedger {
-            messages_per_edge,
-            bytes_per_edge,
+            edges,
             messages_per_round,
             bytes_per_round,
             max_edge_messages_per_round,
@@ -393,17 +389,13 @@ impl MessageLedger {
             dropped_random,
             dropped_link_cut,
             dropped_crash,
-            round_edge_counts: vec![0; edge_slots],
-            touched: Vec::new(),
         }
     }
 
-    /// Closes the current round slot and opens the next one.
+    /// Closes the current round slot and opens the next one, in `O(1)`:
+    /// every edge's current-slot counter is stamped with an older slot and
+    /// so reads as zero from here on.
     pub fn start_round(&mut self) {
-        for &edge in &self.touched {
-            self.round_edge_counts[edge] = 0;
-        }
-        self.touched.clear();
         self.messages_per_round.push(0);
         self.bytes_per_round.push(0);
         self.max_edge_messages_per_round.push(0);
@@ -442,8 +434,16 @@ impl MessageLedger {
         if count == 0 {
             return;
         }
-        self.messages_per_edge[edge_index] += count;
-        self.bytes_per_edge[edge_index] += payload_bytes;
+        let slot = (self.messages_per_round.len() - 1) as u64;
+        let [messages, bytes, round_messages, round_slot] = &mut self.edges[edge_index];
+        *messages += count;
+        *bytes += payload_bytes;
+        if *round_slot != slot {
+            *round_slot = slot;
+            *round_messages = 0;
+        }
+        *round_messages += count;
+        let round_messages = *round_messages;
         *self
             .messages_per_round
             .last_mut()
@@ -452,15 +452,11 @@ impl MessageLedger {
             .bytes_per_round
             .last_mut()
             .expect("at least one round slot exists") += payload_bytes;
-        if self.round_edge_counts[edge_index] == 0 {
-            self.touched.push(edge_index);
-        }
-        self.round_edge_counts[edge_index] += count;
         let congestion = self
             .max_edge_messages_per_round
             .last_mut()
             .expect("at least one round slot exists");
-        *congestion = (*congestion).max(self.round_edge_counts[edge_index]);
+        *congestion = (*congestion).max(round_messages);
     }
 
     /// Records one message on `edge`, the [`EdgeId`]-typed convenience form
@@ -474,10 +470,8 @@ impl MessageLedger {
     /// edge whose ID lies beyond the frozen topology's slot range; shrinking
     /// never happens (deleted edges keep their historical counters).
     pub fn ensure_edge_slots(&mut self, edge_slots: usize) {
-        if edge_slots > self.messages_per_edge.len() {
-            self.messages_per_edge.resize(edge_slots, 0);
-            self.bytes_per_edge.resize(edge_slots, 0);
-            self.round_edge_counts.resize(edge_slots, 0);
+        if edge_slots > self.edges.len() {
+            self.edges.resize(edge_slots, [0; 4]);
         }
     }
 
@@ -552,7 +546,7 @@ impl MessageLedger {
 
     /// Number of per-edge counter slots.
     pub fn edge_slots(&self) -> usize {
-        self.messages_per_edge.len()
+        self.edges.len()
     }
 
     /// Number of rounds executed so far (the initialization slot does not
@@ -572,14 +566,15 @@ impl MessageLedger {
     }
 
     /// Messages carried by each edge over the whole execution, indexed by
-    /// [`EdgeId::index`].
-    pub fn messages_per_edge(&self) -> &[u64] {
-        &self.messages_per_edge
+    /// [`EdgeId::index`] (a column gathered from the per-edge records).
+    pub fn messages_per_edge(&self) -> Vec<u64> {
+        self.edges.iter().map(|&[messages, ..]| messages).collect()
     }
 
-    /// Payload bytes carried by each edge over the whole execution.
-    pub fn bytes_per_edge(&self) -> &[u64] {
-        &self.bytes_per_edge
+    /// Payload bytes carried by each edge over the whole execution (a
+    /// column gathered from the per-edge records).
+    pub fn bytes_per_edge(&self) -> Vec<u64> {
+        self.edges.iter().map(|&[_, bytes, ..]| bytes).collect()
     }
 
     /// Messages sent in each round slot (slot 0 = initialization).
@@ -610,9 +605,9 @@ impl MessageLedger {
     /// The edge carrying the most messages over the whole execution, as
     /// `(edge_index, message_count)`; `None` if nothing was recorded.
     pub fn busiest_edge(&self) -> Option<(usize, u64)> {
-        self.messages_per_edge
+        self.edges
             .iter()
-            .copied()
+            .map(|&[messages, ..]| messages)
             .enumerate()
             .filter(|&(_, count)| count > 0)
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))

@@ -86,7 +86,9 @@ pub struct RoundBarrier<'a, M> {
     /// Per-node outboxes in canonical node order; the backend drains them.
     pub outboxes: &'a mut [Vec<Outgoing<M>>],
     /// Back mailbox buffer to fill (the engine swaps it in next round). The
-    /// backend must clear stale contents before delivering.
+    /// backend must clear stale contents before delivering. An owned
+    /// mailbox that has never held a buffer arrives with capacity for
+    /// exactly the messages the local outboxes send it this round.
     pub mailboxes: &'a mut [Vec<Envelope<M>>],
     /// Execution metrics; local sends are already counted. A distributed
     /// backend merges peer ranks' per-node send counts here.

@@ -6,8 +6,10 @@
 //! `docs/METRICS.md` drifts (what counts as a message, byte sizing, round
 //! slots, per-edge attribution), these tests fail with the exact number
 //! that changed. The second half asserts the engine-level guarantee the
-//! ledger inherits from PR 2: totals, per-edge vectors and congestion are
-//! bit-identical across shard counts {1, 2, 8} at equal seeds.
+//! ledger inherits from the sharded engine: totals, per-edge vectors and
+//! congestion are bit-identical across shard counts {1, 2, 8} at equal
+//! seeds. The last block pins the per-edge round stamp that keeps the
+//! congestion column exact without a per-round reset.
 
 use freelunch::algorithms::BallGathering;
 use freelunch::baselines::{direct_flooding, gossip_broadcast, BaswanaSen, ClusterSpanner};
@@ -18,7 +20,10 @@ use freelunch::graph::generators::{
     barabasi_albert, sparse_connected_erdos_renyi, sparse_planted_partition, GeneratorConfig,
 };
 use freelunch::graph::{EdgeId, MultiGraph, NodeId};
-use freelunch::runtime::{CostReport, MessageLedger, Network, NetworkConfig};
+use freelunch::runtime::{
+    Context, CostReport, Envelope, MessageLedger, Network, NetworkCheckpoint, NetworkConfig,
+    NodeProgram,
+};
 
 /// Path 0 − 1 − 2 − 3 (edges e0, e1, e2).
 fn path4() -> MultiGraph {
@@ -550,5 +555,162 @@ fn ledger_is_bit_identical_across_shard_counts() {
                 "seed={seed} shards={shards}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The per-edge round stamp: an edge's current-slot count is valid only for
+// the slot it was stamped with, so opening a slot resets nothing.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn one_edge_loaded_in_consecutive_rounds_counts_each_round_afresh() {
+    let mut ledger = MessageLedger::new(2);
+    ledger.record(0, 1);
+    ledger.record(0, 1);
+    for load in [1u64, 3, 2] {
+        ledger.start_round();
+        for _ in 0..load {
+            ledger.record(0, 1);
+        }
+    }
+    assert_eq!(ledger.max_edge_messages_per_round(), &[2, 1, 3, 2][..]);
+    assert_eq!(ledger.messages_per_round(), &[2, 1, 3, 2][..]);
+    assert_eq!(ledger.messages_per_edge(), &[8, 0][..]);
+    assert_eq!(ledger.max_congestion(), 3);
+}
+
+#[test]
+fn an_edge_silent_for_a_round_then_reused_starts_from_zero() {
+    let mut ledger = MessageLedger::new(2);
+    ledger.start_round();
+    ledger.record(0, 4);
+    ledger.record(0, 4);
+    ledger.record(0, 4);
+    ledger.start_round(); // e0 silent; only e1 talks
+    ledger.record(1, 4);
+    ledger.start_round(); // e0 again: its stale round-1 count must not leak
+    ledger.record(0, 4);
+    ledger.start_round(); // nobody talks
+    assert_eq!(ledger.max_edge_messages_per_round(), &[0, 3, 1, 1, 0][..]);
+    assert_eq!(ledger.messages_per_edge(), &[4, 1][..]);
+    assert_eq!(ledger.bytes_per_edge(), &[16, 4][..]);
+    assert_eq!(ledger.rounds(), 4);
+}
+
+#[test]
+fn record_bulk_equals_that_many_single_records() {
+    // (round slot, edge, count, bytes per message), interleaving edges
+    // within a slot and revisiting edges across slots.
+    let plan: [(usize, usize, u64, u64); 8] = [
+        (0, 2, 3, 8),
+        (0, 0, 1, 4),
+        (1, 2, 2, 8),
+        (1, 1, 5, 2),
+        (1, 2, 4, 8),
+        (3, 0, 7, 1),
+        (3, 1, 1, 16),
+        (3, 0, 2, 1),
+    ];
+    let mut bulk = MessageLedger::new(3);
+    let mut single = MessageLedger::new(3);
+    let mut slot = 0;
+    for (round, edge, count, bytes) in plan {
+        while slot < round {
+            bulk.start_round();
+            single.start_round();
+            slot += 1;
+        }
+        bulk.record_bulk(edge, count, count * bytes);
+        for _ in 0..count {
+            single.record(edge, bytes);
+        }
+    }
+    assert_eq!(bulk, single);
+    assert_eq!(bulk.max_edge_messages_per_round(), &[3, 6, 0, 9][..]);
+    assert_eq!(bulk.messages_per_edge(), &[10, 6, 9][..]);
+    assert_eq!(bulk.bytes_per_edge(), &[13, 26, 72][..]);
+    // A zero-count bulk record is a no-op.
+    bulk.record_bulk(1, 0, 0);
+    assert_eq!(bulk, single);
+}
+
+#[test]
+fn edge_slots_grown_mid_execution_count_like_original_slots() {
+    let mut grown = MessageLedger::new(2);
+    let mut sized = MessageLedger::new(4);
+    for ledger in [&mut grown, &mut sized] {
+        ledger.record(1, 2);
+        ledger.start_round();
+        ledger.record(1, 2);
+    }
+    // Grow in the middle of round 1, then load the new slot in this round
+    // and the next.
+    grown.ensure_edge_slots(4);
+    for ledger in [&mut grown, &mut sized] {
+        ledger.record(3, 2);
+        ledger.record(3, 2);
+        ledger.start_round();
+        ledger.record(3, 2);
+        ledger.record(1, 2);
+    }
+    assert_eq!(grown, sized);
+    assert_eq!(grown.edge_slots(), 4);
+    assert_eq!(grown.max_edge_messages_per_round(), &[1, 2, 1][..]);
+    assert_eq!(grown.messages_per_edge(), &[0, 3, 0, 3][..]);
+}
+
+/// Sends a round-dependent burst of 1–3 messages over its first port, and
+/// one message over every other port, so per-round congestion varies from
+/// round to round on the same edges.
+struct Burst;
+
+impl NodeProgram for Burst {
+    type Message = u64;
+    fn init(&mut self, ctx: &mut Context<'_, u64>) {
+        ctx.broadcast(0);
+    }
+    fn round(&mut self, ctx: &mut Context<'_, u64>, _inbox: &[Envelope<u64>]) {
+        let burst = (ctx.node().index() + ctx.round() as usize) % 3 + 1;
+        for _ in 0..burst {
+            ctx.send_port(0, u64::from(ctx.round()));
+        }
+        for port in 1..ctx.degree() {
+            ctx.send_port(port, 1);
+        }
+    }
+}
+
+#[test]
+fn checkpoint_restore_mid_run_keeps_the_ledger_identical() {
+    let graph = sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 5), 4.0).unwrap();
+    for shards in [1usize, 2] {
+        let config = NetworkConfig::with_seed(3).sharded(shards);
+        let mut reference = Network::new(&graph, config, |_, _| Burst).unwrap();
+        reference.run_rounds(6).unwrap();
+        let uninterrupted = reference.ledger().clone();
+        assert!(uninterrupted.max_edge_messages_per_round()[1..]
+            .iter()
+            .all(|&c| c >= 2));
+
+        let mut victim = Network::new(&graph, config, |_, _| Burst).unwrap();
+        victim.run_rounds(3).unwrap();
+        let bytes = victim.checkpoint().to_bytes();
+        drop(victim);
+        let checkpoint = NetworkCheckpoint::from_bytes(&bytes).unwrap();
+        let mut resumed = Network::restore(&graph, &checkpoint, |_, _| Burst).unwrap();
+        resumed.run_rounds(3).unwrap();
+        let ledger = resumed.ledger();
+        assert_eq!(ledger, &uninterrupted, "shards={shards}");
+        assert_eq!(
+            ledger.max_edge_messages_per_round(),
+            uninterrupted.max_edge_messages_per_round(),
+            "shards={shards}: congestion column"
+        );
+        assert_eq!(
+            ledger.bytes_per_edge(),
+            uninterrupted.bytes_per_edge(),
+            "shards={shards}"
+        );
     }
 }
