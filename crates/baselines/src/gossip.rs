@@ -21,7 +21,7 @@
 //! are big, which the byte view makes visible). See `docs/METRICS.md`.
 
 use crate::error::{BaselineError, BaselineResult};
-use freelunch_graph::traversal::ball;
+use freelunch_graph::traversal::BallScratch;
 use freelunch_graph::MultiGraph;
 use freelunch_runtime::{
     edge_slot_count, CostReport, FaultCause, FaultPlan, MessageFate, MessageLedger,
@@ -128,11 +128,12 @@ impl GossipBroadcast {
         let mut missing_total: u64 = 0;
         // One frozen view serves all n single-source ball queries.
         let frozen = graph.freeze();
+        let mut scratch = BallScratch::default();
         for source in graph.nodes() {
             if faulty && faults.crash_round(source).is_some() {
                 continue;
             }
-            for holder in ball(&frozen, source, t)? {
+            for &holder in scratch.ball(&frozen, source, t)? {
                 if faulty && faults.crash_round(holder).is_some() {
                     continue;
                 }

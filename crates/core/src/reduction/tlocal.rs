@@ -8,9 +8,33 @@
 //! (a bundle of) newly learned tokens over its incident spanner edges once
 //! per round, so at most `2·|S|` messages fly per round and the whole task
 //! costs at most `2·α·t·|S|` messages — independent of `|E|`.
+//!
+//! # The flood kernel
+//!
+//! Every entry point of this module runs one private word-parallel kernel.
+//! It keeps three `n × ⌈n/64⌉` bitsets of `u64` words — `known`, `fresh`
+//! and `next` — where row `v`, bit `x` says that node `v` knows (respectively
+//! learned last round, learns this round) token `x`. A node with a non-empty
+//! `fresh` row sends one bundle per incident edge (or per distinct neighbor,
+//! see [`FloodRouting`]) sized `TOKEN_BYTES · popcount(fresh[v])`; every
+//! bundle that is delivered to `u` sets `next[u] |= fresh[v] & !known[u]`
+//! word by word. At the end of the round `known |= next`, the popcount of
+//! each `next` row becomes that node's next bundle size, and `fresh` and
+//! `next` swap. Every `fresh` and `next` row also carries the span of words
+//! outside which it is zero, so a bundle costs its sender's span (one word
+//! in the first round) and the end-of-round pass touches only the spans.
+//!
+//! The kernel is exact, not an approximation of a per-token flood. Within a
+//! round, the tokens a node newly learns form, *as a set*, the union of the
+//! delivering senders' fresh sets minus what it knew at the start of the
+//! round — the order in which bundles arrive cannot change that set.
+//! Bundle sizes, knowledge and every ledger column depend only on those sets
+//! and on the recording order, which is fixed: senders in ascending node
+//! order, then incident-edge (or neighbor-class) order, with fault checks
+//! made per bundle.
 
 use crate::error::{CoreError, CoreResult};
-use freelunch_graph::traversal::ball;
+use freelunch_graph::traversal::BallScratch;
 use freelunch_graph::{EdgeId, MultiGraph, NodeId};
 use freelunch_runtime::{
     edge_slot_count, CostReport, FaultCause, FaultPlan, MessageFate, MessageLedger,
@@ -21,39 +45,6 @@ use serde::{Deserialize, Serialize};
 /// node IDs, serialized as `u32`). See `docs/METRICS.md` for the sizing
 /// rules.
 pub const TOKEN_BYTES: u64 = 4;
-
-/// A dense `n × n` bit matrix: row `v` records which tokens node `v` knows.
-#[derive(Debug, Clone)]
-struct BitMatrix {
-    words_per_row: usize,
-    data: Vec<u64>,
-}
-
-impl BitMatrix {
-    fn new(n: usize) -> Self {
-        let words_per_row = n.div_ceil(64);
-        BitMatrix {
-            words_per_row,
-            data: vec![0; n * words_per_row],
-        }
-    }
-
-    fn set(&mut self, row: usize, column: usize) -> bool {
-        let word = row * self.words_per_row + column / 64;
-        let mask = 1u64 << (column % 64);
-        let was_set = self.data[word] & mask != 0;
-        self.data[word] |= mask;
-        !was_set
-    }
-
-    fn count_row(&self, row: usize) -> usize {
-        let start = row * self.words_per_row;
-        self.data[start..start + self.words_per_row]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-}
 
 /// Result of a flooding run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,31 +64,29 @@ pub struct BroadcastOutcome {
     /// and scheme numbers are directly comparable. `ledger.summary()`
     /// always equals [`BroadcastOutcome::cost`].
     pub ledger: MessageLedger,
+    /// The kernel's final `known` bitset: `⌈n/64⌉` words per holder row.
     #[serde(skip)]
-    known: Option<KnownTokens>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct KnownTokens {
-    words_per_row: usize,
-    data: Vec<u64>,
+    known: Vec<u64>,
 }
 
 impl BroadcastOutcome {
     /// Returns `true` if node `holder` ended up with the token of `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `holder` is not a node of the flooded graph.
     pub fn holds_token(&self, holder: NodeId, source: NodeId) -> bool {
-        match &self.known {
-            Some(known) => {
-                let word = holder.index() * known.words_per_row + source.index() / 64;
-                known.data[word] & (1u64 << (source.index() % 64)) != 0
-            }
-            None => false,
-        }
+        let words = self.tokens_received.len().div_ceil(64);
+        let word = self.known[holder.index() * words + source.index() / 64];
+        word & (1u64 << (source.index() % 64)) != 0
     }
 
     /// Verifies the `t`-local broadcast specification: for every node `v`
     /// and every node `u ∈ B_{G,t}(v)`, `u` holds `v`'s token. Returns the
     /// number of (holder, source) violations.
+    ///
+    /// One [`BallScratch`] serves all `n` ball queries, so the check costs
+    /// `O(Σ_v |B_t(v)| · deg)` rather than `Θ(n²)`.
     ///
     /// # Errors
     ///
@@ -106,14 +95,113 @@ impl BroadcastOutcome {
         let mut violations = 0;
         // One frozen view serves all n single-source ball queries.
         let frozen = graph.freeze();
+        let mut scratch = BallScratch::default();
         for source in graph.nodes() {
-            for holder in ball(&frozen, source, t)? {
+            for &holder in scratch.ball(&frozen, source, t)? {
                 if !self.holds_token(holder, source) {
                     violations += 1;
                 }
             }
         }
         Ok(violations)
+    }
+}
+
+/// The flood kernel shared by every entry point (see the module docs).
+///
+/// Runs `radius` rounds on `subgraph`'s node set. Each round it calls
+/// `send(ledger, round, sender, bundle_bytes, receivers)` once per node that
+/// learned at least one token in the previous round, in ascending node
+/// order; `send` records that sender's bundles in the ledger and pushes
+/// every node a bundle is delivered to onto `receivers`.
+fn flood(
+    subgraph: &MultiGraph,
+    radius: u32,
+    mut send: impl FnMut(&mut MessageLedger, u32, NodeId, u64, &mut Vec<usize>),
+) -> BroadcastOutcome {
+    let n = subgraph.node_count();
+    let words = n.div_ceil(64);
+    let mut known = vec![0u64; n * words];
+    let mut fresh = vec![0u64; n * words];
+    let mut next = vec![0u64; n * words];
+    // Row `v` of `fresh` (`next`) is zero outside the words
+    // `fresh_span[v]` (`next_span[v]`), so a bundle costs its span, not a
+    // full row: one word in the first round.
+    let mut fresh_span = Vec::with_capacity(n);
+    for v in 0..n {
+        known[v * words + v / 64] |= 1 << (v % 64);
+        fresh[v * words + v / 64] |= 1 << (v % 64);
+        fresh_span.push(v / 64..v / 64 + 1);
+    }
+    let mut next_span = vec![0..0; n];
+    // `fresh_count[v]` is the popcount of `fresh` row `v`: the number of
+    // tokens in `v`'s next bundle.
+    let mut fresh_count = vec![1u64; n];
+    let mut tokens_received = vec![1usize; n];
+    let mut receivers = Vec::new();
+
+    // The emulated flood reports through the same per-edge/per-round meter
+    // as the synchronous runtime. Nodes are scanned in ascending order every
+    // round, so the accumulation order is canonical by construction.
+    let mut ledger = MessageLedger::new(edge_slot_count(subgraph.edge_ids()));
+    for round in 1..=radius {
+        ledger.start_round();
+        for v in 0..n {
+            if fresh_count[v] == 0 {
+                continue;
+            }
+            receivers.clear();
+            send(
+                &mut ledger,
+                round,
+                NodeId::from_usize(v),
+                TOKEN_BYTES * fresh_count[v],
+                &mut receivers,
+            );
+            let span = fresh_span[v].clone();
+            let bundle = &fresh[v * words..][span.clone()];
+            for &u in &receivers {
+                let known_u = &known[u * words..][span.clone()];
+                let next_u = &mut next[u * words..][span.clone()];
+                for ((next_w, &bundle_w), &known_w) in next_u.iter_mut().zip(bundle).zip(known_u) {
+                    *next_w |= bundle_w & !known_w;
+                }
+                let next_span_u = &mut next_span[u];
+                *next_span_u = if next_span_u.start == next_span_u.end {
+                    span.clone()
+                } else {
+                    next_span_u.start.min(span.start)..next_span_u.end.max(span.end)
+                };
+            }
+        }
+        for u in 0..n {
+            let row = u * words;
+            let span = next_span[u].clone();
+            let mut learned = 0;
+            for (known_w, &next_w) in known[row..][span.clone()]
+                .iter_mut()
+                .zip(&next[row..][span])
+            {
+                *known_w |= next_w;
+                learned += u64::from(next_w.count_ones());
+            }
+            fresh_count[u] = learned;
+            tokens_received[u] += learned as usize;
+            // This round's fresh row becomes next round's `next` row.
+            fresh[row..][fresh_span[u].clone()].fill(0);
+        }
+        std::mem::swap(&mut fresh, &mut next);
+        std::mem::swap(&mut fresh_span, &mut next_span);
+        next_span.fill(0..0);
+    }
+
+    BroadcastOutcome {
+        cost: ledger.summary(),
+        radius,
+        tokens_received,
+        subgraph_edges: subgraph.edge_count(),
+        ledger,
+        known,
     }
 }
 
@@ -162,41 +250,22 @@ pub fn flood_on_subgraph_with_faults(
     radius: u32,
     faults: &FaultPlan,
 ) -> CoreResult<BroadcastOutcome> {
-    let n = graph.node_count();
-    if n == 0 {
+    if graph.node_count() == 0 {
         return Err(CoreError::invalid_parameter("the graph has no nodes"));
     }
     faults.validate().map_err(CoreError::invalid_parameter)?;
     let faulty = faults.affects_messages();
     let subgraph = graph.edge_subgraph(subgraph_edges)?;
 
-    let mut known = BitMatrix::new(n);
-    let mut fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, fresh_v) in fresh.iter_mut().enumerate() {
-        known.set(v, v);
-        fresh_v.push(v as u32);
-    }
-
-    // The emulated flood reports through the same per-edge/per-round meter
-    // as the synchronous runtime. Nodes are scanned in ascending order every
-    // round, so the accumulation order is canonical by construction.
-    let mut ledger = MessageLedger::new(edge_slot_count(subgraph.edge_ids()));
-    for round in 1..=radius {
-        ledger.start_round();
-        let mut next_fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, fresh_v) in fresh.iter().enumerate() {
-            if fresh_v.is_empty() {
-                continue;
-            }
-            let sender = NodeId::from_usize(v);
+    Ok(flood(
+        &subgraph,
+        radius,
+        |ledger, round, sender, bundle_bytes, receivers| {
             if faulty && faults.crashed_at(sender, round) {
-                continue;
+                return;
             }
-            let incident = subgraph.incident_edges(sender);
-            // One bundled message per incident subgraph edge, sized as the
-            // number of bundled tokens.
-            let bundle_bytes = TOKEN_BYTES * fresh_v.len() as u64;
-            for ie in incident {
+            // One bundled message per incident subgraph edge.
+            for ie in subgraph.incident_edges(sender) {
                 if faulty {
                     if faults.link_cut_at(ie.edge, round) {
                         ledger.record_dropped(FaultCause::LinkCut);
@@ -221,29 +290,10 @@ pub fn flood_on_subgraph_with_faults(
                     }
                 }
                 ledger.record_edge(ie.edge, bundle_bytes);
-                let u = ie.neighbor.index();
-                for &token in fresh_v {
-                    if known.set(u, token as usize) {
-                        next_fresh[u].push(token);
-                    }
-                }
+                receivers.push(ie.neighbor.index());
             }
-        }
-        fresh = next_fresh;
-    }
-
-    let tokens_received = (0..n).map(|v| known.count_row(v)).collect();
-    Ok(BroadcastOutcome {
-        cost: ledger.summary(),
-        radius,
-        tokens_received,
-        subgraph_edges: subgraph.edge_count(),
-        known: Some(KnownTokens {
-            words_per_row: known.words_per_row,
-            data: known.data,
-        }),
-        ledger,
-    })
+        },
+    ))
 }
 
 /// How the flood assigns a token bundle to an edge when several parallel
@@ -325,22 +375,11 @@ pub fn flood_on_subgraph_routed(
         classes.push(grouped);
     }
 
-    let mut known = BitMatrix::new(n);
-    let mut fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, fresh_v) in fresh.iter_mut().enumerate() {
-        known.set(v, v);
-        fresh_v.push(v as u32);
-    }
-
-    let mut ledger = MessageLedger::new(edge_slot_count(subgraph.edge_ids()));
-    for round in 1..=radius {
-        ledger.start_round();
-        let mut next_fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, fresh_v) in fresh.iter().enumerate() {
-            if fresh_v.is_empty() {
-                continue;
-            }
-            let bundle_bytes = TOKEN_BYTES * fresh_v.len() as u64;
+    Ok(flood(
+        &subgraph,
+        radius,
+        |ledger, round, sender, bundle_bytes, receivers| {
+            let v = sender.index();
             for (neighbor, parallel) in &classes[v] {
                 let carrier = match routing {
                     FloodRouting::PerEdge => unreachable!("handled above"),
@@ -355,29 +394,10 @@ pub fn flood_on_subgraph_routed(
                     }
                 };
                 ledger.record_edge(carrier, bundle_bytes);
-                let u = neighbor.index();
-                for &token in fresh_v {
-                    if known.set(u, token as usize) {
-                        next_fresh[u].push(token);
-                    }
-                }
+                receivers.push(neighbor.index());
             }
-        }
-        fresh = next_fresh;
-    }
-
-    let tokens_received = (0..n).map(|v| known.count_row(v)).collect();
-    Ok(BroadcastOutcome {
-        cost: ledger.summary(),
-        radius,
-        tokens_received,
-        subgraph_edges: subgraph.edge_count(),
-        known: Some(KnownTokens {
-            words_per_row: known.words_per_row,
-            data: known.data,
-        }),
-        ledger,
-    })
+        },
+    ))
 }
 
 /// [`t_local_broadcast`] under an explicit [`FloodRouting`] policy: flooding

@@ -125,18 +125,65 @@ pub fn bfs_distances<G: Topology>(graph: &G, source: NodeId) -> GraphResult<Vec<
 ///
 /// Returns an error if `source` is out of range.
 pub fn ball<G: Topology>(graph: &G, source: NodeId, radius: u32) -> GraphResult<Vec<NodeId>> {
-    let result = bfs(graph, source, Some(radius))?;
-    let mut nodes: Vec<NodeId> = result
-        .dist
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| match d {
-            Some(d) if *d <= radius => Some(NodeId::from_usize(i)),
-            _ => None,
-        })
-        .collect();
+    let mut nodes = BallScratch::default().ball(graph, source, radius)?.to_vec();
     nodes.sort_unstable();
     Ok(nodes)
+}
+
+/// Reusable state for repeated ball queries: a visited flag per node and
+/// the member list of the last ball. A query clears only the flags of the
+/// previous ball and touches only the new ball and the edges leaving it,
+/// so `n` queries cost `O(Σ_v |B_t(v)| · deg)` rather than `Θ(n²)`.
+#[derive(Debug, Clone, Default)]
+pub struct BallScratch {
+    visited: Vec<bool>,
+    members: Vec<NodeId>,
+}
+
+impl BallScratch {
+    /// The members of `B_{G,radius}(source)` in BFS discovery order, the
+    /// source first (unsorted, unlike [`ball`]). The slice is valid until
+    /// the next query.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `source` is out of range.
+    pub fn ball<G: Topology>(
+        &mut self,
+        graph: &G,
+        source: NodeId,
+        radius: u32,
+    ) -> GraphResult<&[NodeId]> {
+        graph.check_node(source)?;
+        for v in self.members.drain(..) {
+            self.visited[v.index()] = false;
+        }
+        if self.visited.len() < graph.node_count() {
+            self.visited.resize(graph.node_count(), false);
+        }
+        self.visited[source.index()] = true;
+        self.members.push(source);
+        // Expand one BFS level per hop: `members[level_start..level_end]`
+        // is the frontier at the current depth.
+        let mut level_start = 0;
+        for _ in 0..radius {
+            let level_end = self.members.len();
+            if level_start == level_end {
+                break;
+            }
+            for i in level_start..level_end {
+                for incident in graph.incident_edges(self.members[i]) {
+                    let v = incident.neighbor;
+                    if !self.visited[v.index()] {
+                        self.visited[v.index()] = true;
+                        self.members.push(v);
+                    }
+                }
+            }
+            level_start = level_end;
+        }
+        Ok(&self.members)
+    }
 }
 
 /// Length of a shortest `u`–`v` path, or `None` if `v` is unreachable from
@@ -361,6 +408,28 @@ mod tests {
         assert_eq!(ball(&g, n(1), 1).unwrap(), vec![n(0), n(1), n(2)]);
         assert_eq!(ball(&g, n(1), 2).unwrap(), vec![n(0), n(1), n(2), n(3)]);
         assert_eq!(ball(&g, n(1), 10).unwrap(), vec![n(0), n(1), n(2), n(3)]);
+    }
+
+    /// One scratch reused across sources and radii returns each ball's
+    /// exact member set: the flags of the previous ball never leak.
+    #[test]
+    fn reused_ball_scratch_matches_bfs_distances() {
+        let g = path_plus_isolated();
+        let mut scratch = BallScratch::default();
+        for radius in [3, 0, 1, 2, 10] {
+            for source in g.nodes() {
+                let dist = bfs(&g, source, None).unwrap().dist;
+                let expected: Vec<NodeId> = g
+                    .nodes()
+                    .filter(|v| dist[v.index()].is_some_and(|d| d <= radius))
+                    .collect();
+                let mut members = scratch.ball(&g, source, radius).unwrap().to_vec();
+                assert_eq!(members[0], source);
+                members.sort_unstable();
+                assert_eq!(members, expected, "source {source:?}, radius {radius}");
+            }
+        }
+        assert!(scratch.ball(&g, n(9), 1).is_err());
     }
 
     #[test]
