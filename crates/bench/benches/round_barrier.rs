@@ -1,14 +1,15 @@
-//! Criterion micro-bench isolating the engine's message plane: dispatch +
-//! delivery cost per round at shard counts {1, 2, 8}, independent of any
-//! program logic.
+//! Criterion micro-bench isolating the engine's message plane: the cost of
+//! one round at shard counts {1, 2, 8}, independent of any program logic.
 //!
 //! The measured program broadcasts one fixed `u64` per incident edge per
-//! round and does nothing else, so each timed iteration is one round of the
-//! double-buffered barrier in steady state (the network is prewarmed: all
-//! mailbox, outbox and bucket capacity is already grown, making the
-//! zero-allocation round path the thing on the clock). A regression in the
-//! barrier shows up here even when the `exp_scaling` end-to-end numbers are
-//! masked by program cost.
+//! round and does nothing else, so each timed iteration is one round in
+//! steady state (the network is prewarmed: all mailbox and outbox capacity
+//! is already grown, making the zero-allocation round path the thing on the
+//! clock). The 1-shard row prices the serial execute phase plus the round
+//! barrier; the sharded rows price the parallel execute phase plus the same
+//! one canonical barrier, which runs on the calling thread at every shard
+//! count. A regression in the barrier shows up here even when the
+//! `exp_scaling` end-to-end numbers are masked by program cost.
 //!
 //! Set `ROUND_BARRIER_SMOKE=1` to shrink the workload for CI (compile +
 //! one-iteration smoke).
@@ -67,9 +68,10 @@ fn bench_round_barrier(c: &mut Criterion) {
         let messages_per_round = 2 * graph.edge_count() as u64;
         let mut group = c.benchmark_group(format!("round_barrier/{name}"));
         group.sample_size(if smoke() { 1 } else { 10 });
-        // The 1-shard row takes the serial path; each parallel shard count
-        // runs at the work-stealing default chunk and at one contiguous
-        // `⌈n / shards⌉` range per worker.
+        // The 1-shard row steps every node on the calling thread; each
+        // parallel shard count runs its execute phase at the work-stealing
+        // default chunk and at one contiguous `⌈n / shards⌉` range per
+        // worker.
         let n = graph.node_count();
         let grid = [
             (1, "serial", DEFAULT_CHUNK_SIZE),

@@ -3,15 +3,17 @@
 //!
 //! For each [`ScalingWorkload`] family and node count, the same fixed-round
 //! neighbor-exchange program is executed with 1, 2 and 8 shards; each
-//! parallel shard count runs at the work-stealing default chunk size and at
-//! one contiguous `⌈n / shards⌉` range per worker. The run asserts that
-//! rounds, message counts, per-round metrics and the message ledger are
-//! bit-identical across shard counts (the engine's core guarantee), and
-//! records wall-clock time and the speedup over the 1-shard execution —
-//! honest numbers for whatever hardware the sweep ran on: the speedup
-//! ceiling is the machine's usable core count (recorded in the `cores`
-//! column; on a single usable core the parallel barrier can only cost, not
-//! pay).
+//! parallel shard count runs its execute phase at the work-stealing default
+//! chunk size and at one contiguous `⌈n / shards⌉` range per worker, while
+//! the round barrier is the same one canonical delivery on the calling
+//! thread at every shard count. The run asserts that rounds, message
+//! counts, per-round metrics and the message ledger are bit-identical
+//! across shard counts (the engine's core guarantee), and records
+//! wall-clock time and the speedup over the 1-shard execution — honest
+//! numbers for whatever hardware the sweep ran on: the speedup ceiling is
+//! the machine's usable core count (recorded in the `cores` column; on a
+//! single usable core the parallel execute phase can only cost, not pay),
+//! and the serial barrier bounds it further (Amdahl).
 //!
 //! Methodology: every configuration is executed `REPS` times in the same
 //! process and the *minimum* wall time is recorded. The first execution of

@@ -74,9 +74,20 @@ impl BroadcastOutcome {
     ///
     /// # Panics
     ///
-    /// Panics if `holder` is not a node of the flooded graph.
+    /// Panics if `holder` or `source` is not a node of the flooded graph.
     pub fn holds_token(&self, holder: NodeId, source: NodeId) -> bool {
-        let words = self.tokens_received.len().div_ceil(64);
+        let n = self.tokens_received.len();
+        assert!(
+            holder.index() < n,
+            "holder {} is not a node of the {n}-node flooded graph",
+            holder.index()
+        );
+        assert!(
+            source.index() < n,
+            "source {} is not a node of the {n}-node flooded graph",
+            source.index()
+        );
+        let words = n.div_ceil(64);
         let word = self.known[holder.index() * words + source.index() / 64];
         word & (1u64 << (source.index() % 64)) != 0
     }
@@ -90,8 +101,16 @@ impl BroadcastOutcome {
     ///
     /// # Errors
     ///
-    /// Propagates graph errors from the ball computations.
+    /// Returns an error if `graph` does not have the flooded graph's node
+    /// count, and propagates graph errors from the ball computations.
     pub fn coverage_violations(&self, graph: &MultiGraph, t: u32) -> CoreResult<usize> {
+        let n = self.tokens_received.len();
+        if graph.node_count() != n {
+            return Err(CoreError::invalid_parameter(format!(
+                "coverage checked against a {}-node graph, but the flood ran on {n} nodes",
+                graph.node_count()
+            )));
+        }
         let mut violations = 0;
         // One frozen view serves all n single-source ball queries.
         let frozen = graph.freeze();
@@ -713,5 +732,32 @@ mod tests {
         assert!(outcome.holds_token(v0, NodeId::new(1)));
         assert!(outcome.holds_token(v0, NodeId::new(5)));
         assert!(!outcome.holds_token(v0, NodeId::new(3)));
+    }
+
+    /// A 10-node flood keeps one word per holder row, so source 64 of
+    /// holder 0 would read holder 1's row: it must panic instead.
+    #[test]
+    #[should_panic(expected = "source 64 is not a node")]
+    fn holds_token_rejects_an_out_of_range_source() {
+        let graph = cycle_graph(&GeneratorConfig::new(10, 0)).unwrap();
+        let outcome = flood_on_subgraph(&graph, graph.edge_ids(), 3).unwrap();
+        outcome.holds_token(NodeId::new(0), NodeId::new(64));
+    }
+
+    #[test]
+    fn coverage_against_a_graph_of_another_size_is_an_error() {
+        let graph = cycle_graph(&GeneratorConfig::new(10, 0)).unwrap();
+        let outcome = flood_on_subgraph(&graph, graph.edge_ids(), 3).unwrap();
+        assert_eq!(outcome.coverage_violations(&graph, 3).unwrap(), 0);
+        for n in [6, 12] {
+            let other = cycle_graph(&GeneratorConfig::new(n, 0)).unwrap();
+            assert!(
+                matches!(
+                    outcome.coverage_violations(&other, 3),
+                    Err(CoreError::InvalidParameter { .. })
+                ),
+                "{n}-node graph"
+            );
+        }
     }
 }

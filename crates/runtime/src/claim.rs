@@ -1,13 +1,12 @@
-//! The one work-claiming loop behind every parallel phase of a round.
+//! The work-claiming loop behind the parallel phase of a round.
 //!
-//! The execute phase, the barrier's route step and its deliver step all
-//! split their node range into chunks and hand the chunks to
-//! [`claim_each`]: workers claim items off a shared atomic cursor until
-//! none remain, so a worker that drew cheap chunks keeps going while
+//! The execute phase splits its node range into chunks and hands the
+//! chunks to [`claim_each`]: workers claim items off a shared atomic cursor
+//! until none remain, so a worker that drew cheap chunks keeps going while
 //! another grinds through a hub's heavy one. Which worker runs an item is
-//! nondeterministic and must stay unobservable — every caller makes each
-//! item write only its own disjoint slots and reduces per-worker state in
-//! canonical order afterwards (see `docs/PERF.md` §2).
+//! nondeterministic and must stay unobservable — each item writes only its
+//! own disjoint slots and per-worker state is reduced in canonical order
+//! afterwards (see `docs/PERF.md` §2).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -25,26 +25,23 @@
 //!
 //! # Sharded parallel execution
 //!
-//! Every round has two phases, both parallelized over
-//! [`NetworkConfig::shards`] worker threads by one scheduler: the node
-//! range is pre-split into contiguous chunks of about
-//! [`NetworkConfig::chunk_size`] nodes and the workers **claim chunks off
-//! a shared atomic cursor** until none remain, so a skewed workload
-//! (scale-free hubs, a half-halted graph) cannot idle every worker behind
-//! one overloaded range. A chunk size of `⌈n / shards⌉` gives one
-//! contiguous range per worker.
+//! Every round has two phases:
 //!
 //! * the *execute* phase steps each node's program against its inbox
-//!   snapshot — nodes are mutually independent within a round;
-//! * the *dispatch* phase delivers at the round barrier with
-//!   **receiver-chunked workers**: a route step buckets the canonical
-//!   node-ordered outboxes into a (sender chunk × receiver chunk) grid,
-//!   then workers claim receiver chunks and drain their bucket columns in
-//!   ascending sender-chunk order, accumulating per-edge ledger partials
-//!   as they go; the partials are merged into the [`MessageLedger`] when
-//!   the barrier closes. Each receiver's mailbox is filled in ascending
-//!   sender order (and, per sender, in send order): the exact order the
-//!   sequential engine produces.
+//!   snapshot — nodes are mutually independent within a round, so it runs
+//!   on [`NetworkConfig::shards`] worker threads: the node range is
+//!   pre-split into contiguous chunks of about [`NetworkConfig::chunk_size`]
+//!   nodes and the workers **claim chunks off a shared atomic cursor**
+//!   until none remain, so a skewed workload (scale-free hubs, a
+//!   half-halted graph) cannot idle every worker behind one overloaded
+//!   range. A chunk size of `⌈n / shards⌉` gives one contiguous range per
+//!   worker;
+//! * the *dispatch* phase is the round barrier, run on the calling thread:
+//!   the fault pre-pass, mailbox sizing and the metrics pass, then one
+//!   canonical delivery that drains the node-ordered outboxes sender by
+//!   sender into the receivers' mailboxes and the [`MessageLedger`]. Each
+//!   receiver's mailbox is filled in ascending sender order (and, per
+//!   sender, in send order), for every shard count and trace mode.
 //!
 //! Work-stealing changes only *which worker* steps a node, and that is
 //! unobservable: every node writes only its own pre-allocated slots
@@ -60,8 +57,8 @@
 //! knobs, never semantics knobs.
 //!
 //! Per-message trace recording is priced separately: it is off by default
-//! ([`TraceMode::Off`]) and a traced execution ([`NetworkConfig::traced`])
-//! runs the barrier serially so events appear in canonical order — see
+//! ([`TraceMode::Off`]); a traced execution ([`NetworkConfig::traced`])
+//! records one event per message during the same canonical delivery — see
 //! [`TraceMode`].
 //!
 //! # Pluggable transports
@@ -126,8 +123,8 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Default [`NetworkConfig::chunk_size`]: small enough that a scale-free
-/// hub's chunk cannot dominate the barrier, large enough that the claim
-/// cursor is touched a few hundred times per phase at most.
+/// hub's chunk cannot dominate the execute phase, large enough that the
+/// claim cursor is touched a few hundred times per round at most.
 pub const DEFAULT_CHUNK_SIZE: usize = 2048;
 
 /// Configuration of a synchronous execution.
@@ -141,27 +138,26 @@ pub struct NetworkConfig {
     /// (models the "O(1)-approximate upper bound" of assumption (i)).
     pub log_n_slack: u32,
     /// Per-message trace recording ([`TraceMode::Off`] by default; message
-    /// *counts* are always exact regardless). [`TraceMode::Full`] forces
-    /// the round barrier onto its serial path so events are recorded in
-    /// canonical order.
+    /// *counts* are always exact regardless). Under [`TraceMode::Full`] the
+    /// round barrier's canonical delivery also records one event per
+    /// message, in canonical order.
     pub trace_mode: TraceMode,
     /// Maximum number of message events stored in the trace under
     /// [`TraceMode::Full`] (events beyond the capacity are counted, not
     /// stored).
     pub trace_capacity: usize,
-    /// Number of worker shards each round's execute and dispatch phases are
-    /// split into (1 = sequential). Shard counts above the node count are
-    /// clamped down; 0 is rejected by [`Network::new`]. Every observable of
-    /// the execution is bit-identical for every shard count — see the
+    /// Number of worker shards each round's execute phase is split into
+    /// (1 = sequential). Shard counts above the node count are clamped
+    /// down; 0 is rejected by [`Network::new`]. Every observable of the
+    /// execution is bit-identical for every shard count — see the
     /// [module docs](self).
     pub shards: usize,
-    /// Target nodes per claimable chunk of the parallel phases
+    /// Target nodes per claimable chunk of the execute phase
     /// ([`DEFAULT_CHUNK_SIZE`] by default; 0 is rejected by
     /// [`Network::new`]). Smaller chunks balance skew better but touch the
     /// claim cursor more often; `⌈n / shards⌉` gives one contiguous range
-    /// per worker. The dispatch barrier additionally clamps its chunk grid
-    /// so its bucket matrix stays small — see `docs/PERF.md` §2 for tuning
-    /// guidance. Like `shards`, never changes an observable.
+    /// per worker — see `docs/PERF.md` §2 for tuning guidance. Like
+    /// `shards`, never changes an observable.
     pub chunk_size: usize,
 }
 
@@ -195,8 +191,8 @@ impl NetworkConfig {
     }
 
     /// Returns a copy that records message traces ([`TraceMode::Full`]),
-    /// storing up to `capacity` events. Tracing costs per-message time and
-    /// forces the round barrier onto its serial path — see [`TraceMode`].
+    /// storing up to `capacity` events. Tracing costs per-message time at
+    /// the round barrier — see [`TraceMode`].
     pub fn traced(mut self, capacity: usize) -> Self {
         self.trace_mode = TraceMode::Full;
         self.trace_capacity = capacity;
@@ -210,17 +206,16 @@ impl NetworkConfig {
         self
     }
 
-    /// Returns a copy that executes each round's node programs — and the
-    /// round barrier's delivery — on `shards` worker threads. The execution
-    /// stays bit-identical to the sequential engine (see the
-    /// [module docs](self)); only wall-clock time changes.
+    /// Returns a copy that executes each round's node programs on `shards`
+    /// worker threads. The execution stays bit-identical to the sequential
+    /// engine (see the [module docs](self)); only wall-clock time changes.
     pub fn sharded(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
     /// Returns a copy using the given chunk size (nodes per claimable chunk
-    /// of the parallel phases; 0 is rejected by [`Network::new`]).
+    /// of the execute phase; 0 is rejected by [`Network::new`]).
     pub fn chunk_size(mut self, nodes: usize) -> Self {
         self.chunk_size = nodes;
         self
@@ -917,12 +912,9 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             round_total += count;
         }
 
-        let shards = self.shard_count();
         let traced = self.config.trace_mode == TraceMode::Full;
         let outcome = self.transport.deliver(RoundBarrier {
             round,
-            shards,
-            chunk_size: self.config.chunk_size,
             traced,
             local_sent: round_total,
             halted: &self.halted,
@@ -943,10 +935,10 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     /// (sender, send) order and resolves each message's fate against the
     /// installed plan — link cut and receiver-crash gates first, then the
     /// keyed drop/duplicate stream. Survivors stay in the outboxes (in
-    /// order, duplicates adjacent to their originals), so the untouched
-    /// serial and parallel delivery paths below both see the same
-    /// post-fault message sequence; drops and duplications are attributed
-    /// to the ledger's fault column right here, in canonical order.
+    /// order, duplicates adjacent to their originals), so every transport
+    /// sees the same post-fault message sequence; drops and duplications
+    /// are attributed to the ledger's fault column right here, in canonical
+    /// order.
     ///
     /// No-op (and allocation-free) without a message-affecting plan —
     /// `tests/fault_matrix.rs` pins the clean-plan ≡ no-plan guarantee and
@@ -1767,8 +1759,8 @@ mod tests {
                 }
             }
         }
-        // Parallel dispatch coverage: PR 4's abort-at-the-barrier fix must
-        // hold on the receiver-sharded barrier too, not just serially.
+        // Sharded coverage: the abort-at-the-barrier rule must hold when
+        // several workers step the round, not just one.
         for shards in [1usize, 2, 8] {
             let graph = cycle(8);
             let config = NetworkConfig::default().sharded(shards);

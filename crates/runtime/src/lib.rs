@@ -46,12 +46,11 @@
 //! Messages move through a zero-allocation, double-buffered mailbox plane:
 //! sends are resolved (validated, receiver looked up) at send time, every
 //! buffer is reused across rounds, and per-message trace recording is
-//! gated behind [`TraceMode`] (off by default). The engine can run both
-//! phases of a round on multiple worker threads
-//! ([`NetworkConfig::sharded`]): programs are stepped node-sharded, and
-//! delivery runs receiver-sharded through a bucket exchange whose ledger
-//! partials merge at the round barrier in canonical order — so every
-//! observable of the execution is **bit-identical for every shard count**.
+//! gated behind [`TraceMode`] (off by default). The engine can step a
+//! round's programs on multiple worker threads
+//! ([`NetworkConfig::sharded`]), while the round barrier delivers every
+//! message in one canonical sender-major pass — so every observable of the
+//! execution is **bit-identical for every shard count**.
 //! See [`engine`] for the design and `docs/PERF.md` for the costs.
 //!
 //! # Examples

@@ -417,13 +417,12 @@ impl MessageLedger {
 
     /// Records `count` messages totalling `payload_bytes` bytes on the edge
     /// with dense index `edge_index` in the current round slot — the bulk
-    /// form used by the engine's parallel round barrier, which accumulates
-    /// per-edge counts on its dispatch workers and merges each edge's
-    /// round total with a single call. Recording `(e, k, b)` leaves the
-    /// ledger in exactly the state `k` single [`MessageLedger::record`]
+    /// form a distributed transport uses to merge a peer rank's per-edge
+    /// round totals with a single call each. Recording `(e, k, b)` leaves
+    /// the ledger in exactly the state `k` single [`MessageLedger::record`]
     /// calls of `b/k` bytes each would (sums and per-round maxima are
-    /// order-independent), which is why a sharded and a serial barrier
-    /// produce bit-identical ledgers.
+    /// order-independent), which is why a merged ledger is bit-identical to
+    /// one recorded message by message.
     ///
     /// # Panics
     ///

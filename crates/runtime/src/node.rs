@@ -268,10 +268,9 @@ impl<'a, M: Clone> Context<'a, M> {
 /// the network is configured with more than one shard
 /// ([`NetworkConfig::sharded`](crate::engine::NetworkConfig::sharded)), each
 /// round steps the programs of different shards on different worker
-/// threads, and the dispatch barrier's receiver-sharded workers read every
-/// node's outbox (and inbox snapshot) through shared references. Programs
-/// hold only per-node state and messages are plain data, so this is
-/// automatic for ordinary implementations.
+/// threads, which read the inbox snapshots through shared references.
+/// Programs hold only per-node state and messages are plain data, so this
+/// is automatic for ordinary implementations.
 pub trait NodeProgram: Send {
     /// The message type exchanged by this algorithm.
     type Message: Clone + fmt::Debug + Send + Sync;

@@ -13,11 +13,11 @@ use serde::{Deserialize, Serialize};
 /// exact in [`ExecutionMetrics`](crate::metrics::ExecutionMetrics) and the
 /// [`MessageLedger`](crate::metrics::MessageLedger) regardless).
 ///
-/// [`TraceMode::Full`] additionally forces the round barrier onto its
-/// serial dispatch path, because trace events must be recorded in canonical
-/// (sender-major) order: a traced execution trades wall-clock parallelism
-/// for the event log. Outputs, metrics and the ledger are bit-identical
-/// between the two modes — `tests/determinism_matrix.rs` pins this.
+/// Under [`TraceMode::Full`] the round barrier's one canonical delivery
+/// also records an event per message, so events appear in canonical
+/// (sender-major) order; the barrier itself is the same in both modes.
+/// Outputs, metrics and the ledger are bit-identical between the two modes
+/// — `tests/determinism_matrix.rs` pins this.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceMode {
     /// No per-message recording: the trace stays empty (the default).

@@ -8,9 +8,9 @@
 //! backend-independent; the barrier itself is a [`Transport`]:
 //!
 //! * [`InProcessTransport`] — the default: the zero-allocation
-//!   double-buffered fast path (serial or receiver-chunked parallel
-//!   delivery) the engine has always used. Payloads move by value, nothing
-//!   is serialized.
+//!   double-buffered fast path the engine has always used, one canonical
+//!   sender-major delivery for every shard count and trace mode. Payloads
+//!   move by value, nothing is serialized.
 //! * [`TcpTransport`] — multi-process execution over localhost (or any
 //!   reachable peers): each process owns a contiguous node range, and the
 //!   barrier exchanges one length-prefixed binary frame per peer per round.
@@ -66,15 +66,6 @@ use std::ops::Range;
 pub struct RoundBarrier<'a, M> {
     /// The round whose sends are being delivered (0 = initialization).
     pub round: u32,
-    /// Effective worker-shard count of this execution (a parallelism hint;
-    /// a backend may ignore it and deliver serially).
-    pub shards: usize,
-    /// Target nodes per claimable chunk
-    /// ([`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size))
-    /// — like `shards`, a parallelism hint wire backends may ignore. A
-    /// backend may clamp it (the in-process dispatch coarsens the grid so
-    /// its bucket matrix stays small — see `docs/PERF.md` §2).
-    pub chunk_size: usize,
     /// Whether this round must record trace events (canonical order).
     pub traced: bool,
     /// Number of messages in the local outboxes (post fault pre-pass).

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Luby MIS on sparse ER (n=96), one network seed, four adversities:\n");
     for (name, plan) in scenarios {
         // Shard count never changes an outcome — faulty or not — so pick
-        // any; 2 here to exercise the parallel barrier.
+        // any; 2 here to step each round's programs on two workers.
         let config = NetworkConfig::with_seed(5).sharded(2);
         let mut network = Network::with_fault_plan(&graph, config, plan, |_, knowledge| {
             LubyMis::new(knowledge.degree())

@@ -1,7 +1,7 @@
 //! Determinism matrix: every LOCAL algorithm in `algorithms/` runs on three
 //! workload families with shard counts 1, 2 and 8 — under both trace modes,
-//! so the serial *and* the parallel receiver-sharded round barrier are each
-//! exercised — and every observable of the execution — program outputs,
+//! so tracing is checked to change no other observable — and every
+//! observable of the execution — program outputs,
 //! per-round/per-node message metrics, the per-edge/per-round message
 //! ledger, and the full message trace — must be bit-identical to the
 //! sequential (1-shard) engine. The `baselines/` constructions are covered by replay
@@ -64,9 +64,8 @@ where
     P: NodeProgram,
     O: PartialEq + Debug,
 {
-    // Both trace modes matter: `Full` pins the serial barrier (and the
-    // trace itself), `Off` pins the parallel receiver-sharded barrier the
-    // untraced hot path uses. Outputs, metrics and ledger must agree across
+    // Both trace modes matter: `Full` pins the trace itself, `Off` the
+    // untraced hot path. Outputs, metrics and ledger must agree across
     // *all* (mode × shard count) combinations; traces are compared within
     // the Full mode.
     let mut reference: Option<(Vec<O>, ExecutionMetrics, MessageLedger)> = None;
@@ -516,7 +515,7 @@ fn maximal_matching_is_backend_invariant() {
 fn neutral_mock_reproduces_the_canonical_trace() {
     // The mock supports tracing (it delivers serially in canonical order),
     // so with no disturbances even the *trace* must be bit-identical to the
-    // in-process serial barrier — the strongest form of wire-faithfulness.
+    // in-process barrier — the strongest form of wire-faithfulness.
     for (name, graph) in workloads() {
         let run_traced = |mock: bool| {
             let config = NetworkConfig::with_seed(21).traced(100_000);
