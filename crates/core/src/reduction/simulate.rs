@@ -12,18 +12,21 @@
 //! 2. charges the simulated execution: spanner construction (supplied by the
 //!    caller) + `t`-local broadcast on that spanner;
 //! 3. verifies the information-sufficiency claim: for (a sample of) nodes
-//!    `v`, re-running the algorithm on the subgraph containing only the
-//!    edges incident to `B_{G,t}(v)` reproduces `v`'s output exactly.
+//!    `v`, recomputing `v`'s output from its `t`-ball alone reproduces the
+//!    direct run's output exactly. The recomputation is a
+//!    [`LocalExecutor`] run over `v`'s cone: every node within distance
+//!    `t` initializes, round `r` steps only the nodes within `t − r`, and
+//!    no node outside `B_{G,t}(v)` is ever executed. Each node sees the
+//!    knowledge, ports and RNG stream of the direct run, so a genuine
+//!    `t`-round LOCAL algorithm must agree at every checked node.
 
 use super::tlocal::t_local_broadcast_with_faults;
 use crate::error::CoreResult;
-use freelunch_graph::traversal::ball;
 use freelunch_graph::{EdgeId, MultiGraph, NodeId};
 use freelunch_runtime::{
-    CostReport, FaultPlan, InitialKnowledge, Network, NetworkConfig, NodeProgram,
+    CostReport, FaultPlan, InitialKnowledge, LocalExecutor, Network, NetworkConfig, NodeProgram,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Report of one simulated execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,10 +42,11 @@ pub struct SimulationReport {
     /// Total cost of the simulated execution (spanner + broadcast; the local
     /// recomputation sends no messages).
     pub simulated_cost: CostReport,
-    /// Number of nodes whose outputs were verified against a ball-local
-    /// re-execution.
+    /// Number of nodes whose direct-run outputs were checked against a
+    /// recomputation from their `t`-ball alone (a [`LocalExecutor`] run
+    /// over the node's cone).
     pub nodes_checked: usize,
-    /// Number of verified nodes whose ball-local output differed from the
+    /// Number of checked nodes whose ball-local output differed from the
     /// direct execution (must be 0 — a nonzero value indicates the algorithm
     /// is not a `t`-round LOCAL algorithm for the given `t`).
     pub mismatches: usize,
@@ -67,7 +71,7 @@ impl SimulationReport {
     }
 
     /// Returns `true` if every checked node produced the same output in the
-    /// ball-local re-execution.
+    /// ball-local recomputation.
     pub fn outputs_match(&self) -> bool {
         self.mismatches == 0
     }
@@ -86,13 +90,18 @@ impl SimulationReport {
 ///
 /// `spanner_cost` is the cost the caller paid to construct `spanner_edges`
 /// (pass [`CostReport::zero`] to study the broadcast in isolation).
-/// `check_nodes` bounds how many nodes are verified by ball-local
-/// re-execution (the verification is `O(n + m)` per node); pass 0 to skip.
+/// `check_nodes` bounds how many nodes, evenly spread over the node
+/// range, are verified by recomputing their output from their `t`-ball
+/// alone; pass 0 to skip. Each check runs only the node's cone (at most
+/// `|B_{G,t}(v)|` programs, fewer in each later round) and touches only the
+/// ball and the edges incident to it, on one [`LocalExecutor`] built once
+/// per call (`O(n + m)`).
 ///
-/// `config` applies verbatim to the reference execution *and* to every
-/// ball-local re-execution — in particular, setting
-/// [`NetworkConfig::shards`] above 1 runs all of them on the sharded
-/// parallel engine. Since sharding is bit-identical to sequential
+/// `config` applies verbatim to the reference execution; setting
+/// [`NetworkConfig::shards`] above 1 runs it on the sharded parallel
+/// engine. The checks are serial and read only `config`'s seed, knowledge
+/// model and `log n` slack, so each checked node sees exactly its
+/// direct-run context. Since sharding is bit-identical to sequential
 /// execution, the whole [`SimulationReport`] is independent of the shard
 /// count.
 ///
@@ -139,8 +148,8 @@ where
 /// fault-accounting column.
 ///
 /// Ball-sufficiency verification is only meaningful for failure-free runs
-/// (a ball-local re-execution sees different faults than the full-graph
-/// one), so under a non-empty plan it is skipped:
+/// (a ball-local recomputation sees none of the faults the full-graph run
+/// suffered), so under a non-empty plan it is skipped:
 /// [`SimulationReport::nodes_checked`] is 0 regardless of `check_nodes`.
 ///
 /// # Errors
@@ -194,25 +203,12 @@ where
     // caller asked for no verification samples.
     if let Some(step) = n.checked_div(to_check) {
         let step = step.max(1);
-        // One frozen view serves every per-node ball query below.
-        let frozen = graph.freeze();
+        // Knowledge and ports come from the same full graph the direct run
+        // used, so every cone node sees exactly its direct-run context.
+        let mut local = LocalExecutor::new(direct.graph(), config);
         for index in (0..n).step_by(step).take(to_check) {
-            let node = NodeId::from_usize(index);
-            let ball_nodes: HashSet<NodeId> = ball(&frozen, node, t)?.into_iter().collect();
-            // Keep every edge incident to the ball: the ball nodes' behaviour
-            // may depend on their full incident edge sets, but nodes outside
-            // the ball cannot influence `node` within t rounds.
-            let edges: Vec<EdgeId> = graph
-                .edges()
-                .filter(|e| ball_nodes.contains(&e.u) || ball_nodes.contains(&e.v))
-                .map(|e| e.id)
-                .collect();
-            let ball_graph = graph.edge_subgraph(edges)?;
-            let mut local =
-                Network::new(&ball_graph, config, |v, knowledge| factory(v, knowledge))?;
-            local.run_rounds(t)?;
-            let local_output = output(&local.programs()[index]);
-            if local_output != direct_outputs[index] {
+            let root = local.run(NodeId::from_usize(index), t, &factory)?;
+            if output(&root) != direct_outputs[index] {
                 mismatches += 1;
             }
         }
@@ -234,6 +230,8 @@ mod tests {
     use super::*;
     use freelunch_graph::generators::{connected_erdos_renyi, GeneratorConfig};
     use freelunch_runtime::{Context, Envelope};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     /// A t-round LOCAL algorithm: every node learns the minimum node ID
     /// within its t-ball by iterated min-flooding.
@@ -290,16 +288,32 @@ mod tests {
         assert!(report.round_overhead() >= 1.0);
     }
 
+    /// Not a LOCAL algorithm: every node reports how many programs were
+    /// initialized in its whole execution, read off a counter shared by all
+    /// nodes (the factory resets it, and builds every program before any
+    /// runs). Its output depends on the entire execution, not on its ball.
+    struct InitCensus {
+        inits: Arc<AtomicU32>,
+        seen: u32,
+    }
+
+    impl NodeProgram for InitCensus {
+        type Message = ();
+        fn init(&mut self, _ctx: &mut Context<'_, ()>) {
+            self.inits.fetch_add(1, Ordering::Relaxed);
+        }
+        fn round(&mut self, _ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
+            self.seen = self.inits.load(Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn verification_catches_under_provisioned_t() {
-        // The algorithm needs t rounds to gather the t-ball minimum; checking
-        // it with a smaller ball must produce mismatches for some node of a
-        // long-ish path-like graph.
         let graph = connected_erdos_renyi(&GeneratorConfig::new(60, 8), 0.02).unwrap();
         let t = 3;
         let spanner: Vec<EdgeId> = graph.edge_ids().collect();
-        // Run the algorithm for t rounds but verify with balls of radius t:
-        // outputs must match.
+        // A genuine t-round algorithm, checked on balls of radius t: every
+        // node's output must match.
         let good = simulate_with_spanner(
             &graph,
             &spanner,
@@ -314,6 +328,31 @@ mod tests {
         .unwrap();
         assert!(good.outputs_match());
         assert_eq!(good.nodes_checked, graph.node_count());
+        // An algorithm whose output needs more than its t-ball (here: all
+        // of G, through shared state) must be caught: a ball-local
+        // recomputation initializes only the ball, so it disagrees with
+        // the direct run wherever the ball is not the whole graph.
+        let inits = Arc::new(AtomicU32::new(0));
+        let census = simulate_with_spanner(
+            &graph,
+            &spanner,
+            1,
+            CostReport::zero(),
+            t,
+            NetworkConfig::with_seed(1),
+            |_, _| {
+                inits.store(0, Ordering::Relaxed);
+                InitCensus {
+                    inits: Arc::clone(&inits),
+                    seen: 0,
+                }
+            },
+            |p| p.seen,
+            graph.node_count(),
+        )
+        .unwrap();
+        assert_eq!(census.nodes_checked, graph.node_count());
+        assert!(census.mismatches > 0, "no mismatch caught");
     }
 
     #[test]

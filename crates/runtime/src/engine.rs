@@ -224,7 +224,7 @@ impl NetworkConfig {
 
 /// Mixes the network seed with a node index into an independent per-node
 /// stream seed (the crate-wide splitmix64 finalizer).
-fn node_seed(seed: u64, node: usize) -> u64 {
+pub(crate) fn node_seed(seed: u64, node: usize) -> u64 {
     crate::fault::splitmix64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

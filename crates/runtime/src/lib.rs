@@ -53,6 +53,11 @@
 //! execution is **bit-identical for every shard count**.
 //! See [`engine`] for the design and `docs/PERF.md` for the costs.
 //!
+//! One node's program after `t` rounds can also be recomputed from its
+//! `t`-ball alone: the serial [`LocalExecutor`] steps only that node's
+//! shrinking cone with the engine's contexts and RNG streams (see
+//! [`local`]). The paper pipeline checks its outputs this way.
+//!
 //! # Examples
 //!
 //! ```
@@ -95,6 +100,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod knowledge;
+pub mod local;
 pub mod metrics;
 pub mod node;
 pub mod trace;
@@ -106,6 +112,7 @@ pub use engine::{Network, NetworkConfig, DEFAULT_CHUNK_SIZE};
 pub use error::{RuntimeError, RuntimeResult};
 pub use fault::{CrashSchedule, FaultPlan, LinkCut, MessageFate};
 pub use knowledge::{InitialKnowledge, KnowledgeModel, Port};
+pub use local::LocalExecutor;
 pub use metrics::{
     edge_slot_count, CongestionSnapshot, CostReport, ExecutionMetrics, FaultCause, FaultTotals,
     MessageLedger,

@@ -168,9 +168,11 @@ fn sampler_and_baswana_sen_expose_the_message_gap() {
 
 #[test]
 fn free_lunch_simulation_is_shard_invariant() {
-    // The full simulation pipeline — reference execution, t-local broadcast
-    // and ball-local verification — must produce the same report whether
-    // the runtime steps nodes sequentially or on 4 shards.
+    // The full simulation pipeline must produce the same report whether the
+    // reference execution steps nodes sequentially or on 4 shards. Sharding
+    // reaches only that run: the t-local broadcast is the flood kernel and
+    // the ball-local checks run on the serial cone executor, which reads
+    // only the config's seed and knowledge settings.
     let graph = complete_graph(&GeneratorConfig::new(96, 10)).unwrap();
     let params = practical_params(2);
     let spanner = Sampler::new(params).run(&graph, 13).unwrap();
