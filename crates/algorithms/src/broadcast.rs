@@ -111,6 +111,15 @@ impl NodeProgram for BallGathering {
         }
         let fresh_count = u32_at(cursor)? as usize;
         cursor += 4;
+        // Check the count against the bytes before allocating for it: a
+        // hostile count must not reserve gigabytes.
+        let needed = cursor.saturating_add(fresh_count.saturating_mul(4));
+        if needed > bytes.len() {
+            return Err(CodecError::Truncated {
+                needed,
+                got: bytes.len(),
+            });
+        }
         let mut fresh = Vec::with_capacity(fresh_count);
         for _ in 0..fresh_count {
             fresh.push(u32_at(cursor)?);

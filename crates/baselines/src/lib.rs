@@ -27,13 +27,6 @@
 //! per-edge message pattern to meter; its modelled aggregate cost is
 //! documented in its module). The contract is specified in
 //! `docs/METRICS.md`.
-//!
-//! The execution baselines ([`flooding`], [`gossip`]) additionally accept a
-//! deterministic [`FaultPlan`](freelunch_runtime::fault::FaultPlan) through
-//! their `*_with_faults` variants, sharing the engine's fault-accounting
-//! column so robustness comparisons stay apples to apples; the construction
-//! baselines ([`baswana_sen`], [`derbel`], [`greedy`]) are centralized cost
-//! emulations and stay failure-free by design.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,6 +42,6 @@ pub mod greedy;
 pub use baswana_sen::{BaswanaSen, BaswanaSenOutcome};
 pub use derbel::{ClusterSpanner, ClusterSpannerOutcome};
 pub use error::{BaselineError, BaselineResult};
-pub use flooding::{direct_flooding, direct_flooding_with_faults, FloodingOutcome};
-pub use gossip::{gossip_broadcast, gossip_broadcast_with_faults, GossipBroadcast, GossipOutcome};
+pub use flooding::{direct_flooding, FloodingOutcome};
+pub use gossip::{gossip_broadcast, GossipBroadcast, GossipOutcome};
 pub use greedy::GreedySpanner;

@@ -30,15 +30,12 @@
 //! round — the order in which bundles arrive cannot change that set.
 //! Bundle sizes, knowledge and every ledger column depend only on those sets
 //! and on the recording order, which is fixed: senders in ascending node
-//! order, then incident-edge (or neighbor-class) order, with fault checks
-//! made per bundle.
+//! order, then incident-edge (or neighbor-class) order.
 
 use crate::error::{CoreError, CoreResult};
 use freelunch_graph::traversal::BallScratch;
 use freelunch_graph::{EdgeId, MultiGraph, NodeId};
-use freelunch_runtime::{
-    edge_slot_count, CostReport, FaultCause, FaultPlan, MessageFate, MessageLedger,
-};
+use freelunch_runtime::{edge_slot_count, CostReport, MessageLedger};
 use serde::{Deserialize, Serialize};
 
 /// Wire size charged per token in a bundled flooding message (tokens are
@@ -237,77 +234,17 @@ pub fn flood_on_subgraph(
     subgraph_edges: impl IntoIterator<Item = EdgeId>,
     radius: u32,
 ) -> CoreResult<BroadcastOutcome> {
-    flood_on_subgraph_with_faults(graph, subgraph_edges, radius, &FaultPlan::none())
-}
-
-/// [`flood_on_subgraph`] subjected to a deterministic
-/// [`FaultPlan`] — the same plan type (and accounting convention) the
-/// synchronous runtime accepts, so scheme-vs-baseline robustness
-/// comparisons are metered identically on both sides.
-///
-/// Fault semantics of the emulated flood: a node crashed at round `r`
-/// neither sends nor receives from round `r` on (rounds are 1-based here,
-/// matching the ledger's round slots; crash round 0 means the node never
-/// participates); a cut link silently discards both directions; drops and
-/// duplications are resolved per message from the plan's keyed ChaCha
-/// stream with `msg_index = 0` (the flood sends at most one bundle per
-/// edge direction per round). Dropped bundles transfer no tokens and are
-/// attributed in the ledger's fault column; duplicated bundles are charged
-/// twice but transfer the same tokens (token union is idempotent).
-/// Delivery perturbation is a no-op for the flood — it is order-insensitive
-/// by construction.
-///
-/// The empty plan reproduces [`flood_on_subgraph`] exactly.
-///
-/// # Errors
-///
-/// Returns an error if any edge ID is unknown, the graph is empty, or the
-/// plan's probabilities are invalid.
-pub fn flood_on_subgraph_with_faults(
-    graph: &MultiGraph,
-    subgraph_edges: impl IntoIterator<Item = EdgeId>,
-    radius: u32,
-    faults: &FaultPlan,
-) -> CoreResult<BroadcastOutcome> {
     if graph.node_count() == 0 {
         return Err(CoreError::invalid_parameter("the graph has no nodes"));
     }
-    faults.validate().map_err(CoreError::invalid_parameter)?;
-    let faulty = faults.affects_messages();
     let subgraph = graph.edge_subgraph(subgraph_edges)?;
 
     Ok(flood(
         &subgraph,
         radius,
-        |ledger, round, sender, bundle_bytes, receivers| {
-            if faulty && faults.crashed_at(sender, round) {
-                return;
-            }
+        |ledger, _round, sender, bundle_bytes, receivers| {
             // One bundled message per incident subgraph edge.
             for ie in subgraph.incident_edges(sender) {
-                if faulty {
-                    if faults.link_cut_at(ie.edge, round) {
-                        ledger.record_dropped(FaultCause::LinkCut);
-                        continue;
-                    }
-                    if faults.crashed_at(ie.neighbor, round) {
-                        ledger.record_dropped(FaultCause::Crash);
-                        continue;
-                    }
-                    match faults.message_fate(round, ie.edge, sender, 0) {
-                        MessageFate::Drop => {
-                            ledger.record_dropped(FaultCause::Random);
-                            continue;
-                        }
-                        MessageFate::Duplicate => {
-                            // The duplicate crosses the edge too; the token
-                            // union it re-delivers is idempotent.
-                            ledger.record_duplicated();
-                            ledger.record_edge(ie.edge, bundle_bytes);
-                        }
-                        MessageFate::Deliver => {}
-                    }
-                }
                 ledger.record_edge(ie.edge, bundle_bytes);
                 receivers.push(ie.neighbor.index());
             }
@@ -419,28 +356,6 @@ pub fn flood_on_subgraph_routed(
     ))
 }
 
-/// [`t_local_broadcast`] under an explicit [`FloodRouting`] policy: flooding
-/// within distance `stretch · t` with the chosen parallel-edge routing (see
-/// [`flood_on_subgraph_routed`]).
-///
-/// # Errors
-///
-/// Returns an error if `stretch` is zero or an edge ID is unknown.
-pub fn t_local_broadcast_routed(
-    graph: &MultiGraph,
-    spanner_edges: impl IntoIterator<Item = EdgeId>,
-    t: u32,
-    stretch: u32,
-    routing: FloodRouting,
-) -> CoreResult<BroadcastOutcome> {
-    if stretch == 0 {
-        return Err(CoreError::invalid_parameter(
-            "the stretch must be at least 1",
-        ));
-    }
-    flood_on_subgraph_routed(graph, spanner_edges, stretch.saturating_mul(t), routing)
-}
-
 /// The `t`-local broadcast of Lemma 12: flooding within distance
 /// `stretch · t` on a `stretch`-spanner given by `spanner_edges`.
 ///
@@ -453,29 +368,12 @@ pub fn t_local_broadcast(
     t: u32,
     stretch: u32,
 ) -> CoreResult<BroadcastOutcome> {
-    t_local_broadcast_with_faults(graph, spanner_edges, t, stretch, &FaultPlan::none())
-}
-
-/// [`t_local_broadcast`] under a deterministic [`FaultPlan`] (see
-/// [`flood_on_subgraph_with_faults`] for the fault semantics).
-///
-/// # Errors
-///
-/// Returns an error if `stretch` is zero, an edge ID is unknown, or the
-/// plan's probabilities are invalid.
-pub fn t_local_broadcast_with_faults(
-    graph: &MultiGraph,
-    spanner_edges: impl IntoIterator<Item = EdgeId>,
-    t: u32,
-    stretch: u32,
-    faults: &FaultPlan,
-) -> CoreResult<BroadcastOutcome> {
     if stretch == 0 {
         return Err(CoreError::invalid_parameter(
             "the stretch must be at least 1",
         ));
     }
-    flood_on_subgraph_with_faults(graph, spanner_edges, stretch.saturating_mul(t), faults)
+    flood_on_subgraph(graph, spanner_edges, stretch.saturating_mul(t))
 }
 
 #[cfg(test)]
@@ -561,79 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_reproduces_the_clean_flood() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(40, 2), 0.2).unwrap();
-        let clean = flood_on_subgraph(&graph, graph.edge_ids(), 3).unwrap();
-        let faulty =
-            flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 3, &FaultPlan::none()).unwrap();
-        assert_eq!(clean, faulty);
-        assert_eq!(faulty.ledger.fault_totals().dropped, 0);
-    }
-
-    #[test]
-    fn certain_drop_silences_the_flood_after_round_one() {
-        let graph = cycle_graph(&GeneratorConfig::new(10, 0)).unwrap();
-        let plan = FaultPlan::new(3).with_drop_probability(1.0);
-        let outcome = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 3, &plan).unwrap();
-        // Round 1: every node floods its own token over both edges — all 20
-        // bundles dropped. Nobody learns anything, so rounds 2 and 3 are
-        // silent.
-        assert_eq!(outcome.cost.messages, 0);
-        assert_eq!(outcome.ledger.fault_totals().dropped, 20);
-        assert_eq!(outcome.ledger.fault_totals().dropped_random, 20);
-        assert!(outcome.tokens_received.iter().all(|&c| c == 1));
-        assert!(outcome.coverage_violations(&graph, 3).unwrap() > 0);
-    }
-
-    #[test]
-    fn link_cut_splits_the_flood_and_is_attributed() {
-        // Path 0-1-2-3; cutting e1 from round 1 splits it into {0,1}, {2,3}.
-        let mut graph = MultiGraph::new(4);
-        for (u, v) in [(0u32, 1u32), (1, 2), (2, 3)] {
-            graph.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
-        }
-        let plan = FaultPlan::new(0).with_link_cut(EdgeId::new(1), 1);
-        let outcome = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 3, &plan).unwrap();
-        assert_eq!(outcome.tokens_received, vec![2, 2, 2, 2]);
-        let totals = outcome.ledger.fault_totals();
-        assert!(totals.dropped_link_cut > 0);
-        assert_eq!(totals.dropped, totals.dropped_link_cut);
-        // No message ever crossed the cut edge.
-        assert_eq!(outcome.ledger.messages_per_edge()[1], 0);
-    }
-
-    #[test]
-    fn crashed_node_neither_sends_nor_receives_in_the_flood() {
-        let graph = cycle_graph(&GeneratorConfig::new(6, 0)).unwrap();
-        let plan = FaultPlan::new(0).with_crash(NodeId::new(3), 0);
-        let outcome = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 5, &plan).unwrap();
-        // The crashed node keeps only its own token; the survivors flood on
-        // the remaining path and still learn all five live tokens.
-        assert_eq!(outcome.tokens_received[3], 1);
-        for v in [0usize, 1, 2, 4, 5] {
-            assert_eq!(outcome.tokens_received[v], 5, "node {v}");
-        }
-        assert!(outcome.ledger.fault_totals().dropped_crash > 0);
-    }
-
-    #[test]
-    fn certain_duplication_doubles_flood_traffic_only() {
-        let graph = cycle_graph(&GeneratorConfig::new(8, 0)).unwrap();
-        let clean = flood_on_subgraph(&graph, graph.edge_ids(), 2).unwrap();
-        let plan = FaultPlan::new(5).with_duplicate_probability(1.0);
-        let doubled = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 2, &plan).unwrap();
-        // Every bundle crosses twice: double messages and bytes, identical
-        // knowledge (token union is idempotent).
-        assert_eq!(doubled.cost.messages, 2 * clean.cost.messages);
-        assert_eq!(doubled.ledger.total_bytes(), 2 * clean.ledger.total_bytes());
-        assert_eq!(doubled.tokens_received, clean.tokens_received);
-        assert_eq!(
-            doubled.ledger.fault_totals().duplicated,
-            clean.cost.messages
-        );
-    }
-
-    #[test]
     fn routing_policies_coincide_on_simple_graphs() {
         let graph = connected_erdos_renyi(&GeneratorConfig::new(40, 9), 0.15).unwrap();
         let per_edge = flood_on_subgraph(&graph, graph.edge_ids(), 3).unwrap();
@@ -702,14 +527,6 @@ mod tests {
     #[test]
     fn routed_parameter_validation() {
         let graph = cycle_graph(&GeneratorConfig::new(5, 0)).unwrap();
-        assert!(t_local_broadcast_routed(
-            &graph,
-            graph.edge_ids(),
-            1,
-            0,
-            FloodRouting::CongestionAware
-        )
-        .is_err());
         assert!(flood_on_subgraph_routed(
             &MultiGraph::new(0),
             std::iter::empty(),

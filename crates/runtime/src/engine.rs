@@ -526,7 +526,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let ledger = MessageLedger::new(edge_slots);
         // Validate before the emptiness shortcut: a plan with (say) a
         // negative probability must be rejected, not silently treated as
-        // empty — the emulated `*_with_faults` paths reject it too.
+        // empty.
         plan.validate().map_err(RuntimeError::invalid_config)?;
         let faults = if plan.is_empty() {
             None
@@ -2580,8 +2580,7 @@ mod tests {
         )
         .is_err());
         // A negative probability makes `is_empty()` true; validation must
-        // still reject it rather than shortcut to the failure-free path
-        // (the emulated `*_with_faults` paths reject the same plan).
+        // still reject it rather than shortcut to the failure-free path.
         let negative = FaultPlan::new(0).with_drop_probability(-0.5);
         assert!(negative.is_empty());
         assert!(

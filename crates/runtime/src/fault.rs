@@ -47,10 +47,9 @@
 //! column — see `docs/METRICS.md` §6 for the exact convention (delivered
 //! traffic is metered as usual; drops never reach the per-edge counters).
 //!
-//! The same plan type is accepted by the emulated execution paths
-//! (`freelunch-core`'s reduction floods, the flooding and gossip baselines),
-//! so scheme-vs-baseline robustness comparisons share one accounting
-//! convention end to end.
+//! Fault semantics live here alone: a plan is consumed only by the
+//! [`Network`](crate::engine::Network) engine and its transports, which
+//! query the resolved form of the plan on the dispatch path.
 //!
 //! # Examples
 //!
@@ -111,7 +110,7 @@ pub struct CrashSchedule {
 
 /// The per-message outcome drawn from the fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageFate {
+pub(crate) enum MessageFate {
     /// The message is delivered normally.
     Deliver,
     /// The message is silently dropped.
@@ -240,63 +239,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// The round the given node crashes at, if any (the earliest schedule
-    /// wins when a node appears more than once).
-    pub fn crash_round(&self, node: NodeId) -> Option<u32> {
-        self.crashes
-            .iter()
-            .filter(|c| c.node == node)
-            .map(|c| c.at_round)
-            .min()
-    }
-
-    /// Returns `true` if `node` does not participate in `round` (it crashed
-    /// in that round or earlier).
-    pub fn crashed_at(&self, node: NodeId, round: u32) -> bool {
-        self.crash_round(node).is_some_and(|r| r <= round)
-    }
-
-    /// Returns `true` if `edge` is cut in `round`.
-    pub fn link_cut_at(&self, edge: EdgeId, round: u32) -> bool {
-        self.link_cuts
-            .iter()
-            .any(|c| c.edge == edge && c.from_round <= round)
-    }
-
-    /// Resolves the fate of one message from the keyed ChaCha stream.
-    ///
-    /// `msg_index` is the message's index within its sender's sends of that
-    /// round (0 for processes that send at most one message per edge per
-    /// round). The key is `(seed, round, edge, sender, msg_index)`, so the
-    /// outcome depends only on *which* message it is — never on the order
-    /// faults are applied in, which is what makes faulty executions
-    /// independent of the shard count.
-    pub fn message_fate(
-        &self,
-        round: u32,
-        edge: EdgeId,
-        sender: NodeId,
-        msg_index: u32,
-    ) -> MessageFate {
-        if self.drop_probability <= 0.0 && self.duplicate_probability <= 0.0 {
-            return MessageFate::Deliver;
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(message_seed(
-            self.seed,
-            round,
-            edge.raw(),
-            sender.raw(),
-            msg_index,
-        ));
-        if self.drop_probability > 0.0 && rng.gen_bool(self.drop_probability) {
-            return MessageFate::Drop;
-        }
-        if self.duplicate_probability > 0.0 && rng.gen_bool(self.duplicate_probability) {
-            return MessageFate::Duplicate;
-        }
-        MessageFate::Deliver
-    }
-
     /// Applies the seeded delivery permutation for `(round, receiver)` to a
     /// mailbox (Fisher–Yates over a ChaCha stream keyed independently of the
     /// drop/duplicate stream). No-op unless
@@ -418,8 +360,13 @@ impl ResolvedFaultPlan {
     }
 
     /// Classifies one message (already past the link-cut and crash gates)
-    /// through the keyed stream.
-    #[inline]
+    /// through the keyed ChaCha stream.
+    ///
+    /// `msg_index` is the message's index within its sender's sends of that
+    /// round. The key is `(seed, round, edge, sender, msg_index)`, so the
+    /// outcome depends only on *which* message it is — never on the order
+    /// faults are applied in, which is what makes faulty executions
+    /// independent of the shard count.
     pub(crate) fn fate(
         &self,
         round: u32,
@@ -427,7 +374,24 @@ impl ResolvedFaultPlan {
         sender: NodeId,
         msg_index: u32,
     ) -> MessageFate {
-        self.plan.message_fate(round, edge, sender, msg_index)
+        let plan = &self.plan;
+        if plan.drop_probability <= 0.0 && plan.duplicate_probability <= 0.0 {
+            return MessageFate::Deliver;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(message_seed(
+            plan.seed,
+            round,
+            edge.raw(),
+            sender.raw(),
+            msg_index,
+        ));
+        if plan.drop_probability > 0.0 && rng.gen_bool(plan.drop_probability) {
+            return MessageFate::Drop;
+        }
+        if plan.duplicate_probability > 0.0 && rng.gen_bool(plan.duplicate_probability) {
+            return MessageFate::Duplicate;
+        }
+        MessageFate::Deliver
     }
 }
 
@@ -441,8 +405,9 @@ mod tests {
         assert!(plan.is_empty());
         assert!(!plan.affects_messages());
         assert!(plan.validate().is_ok());
+        let resolved = ResolvedFaultPlan::resolve(plan, 2, 1).unwrap();
         assert_eq!(
-            plan.message_fate(3, EdgeId::new(1), NodeId::new(0), 0),
+            resolved.fate(3, EdgeId::new(1), NodeId::new(0), 0),
             MessageFate::Deliver
         );
     }
@@ -458,13 +423,13 @@ mod tests {
         assert!(!plan.is_empty());
         assert!(plan.affects_messages());
         assert_eq!(plan.seed, 9);
-        assert!(plan.link_cut_at(EdgeId::new(4), 2));
-        assert!(!plan.link_cut_at(EdgeId::new(4), 1));
-        assert!(!plan.link_cut_at(EdgeId::new(5), 9));
-        assert!(plan.crashed_at(NodeId::new(1), 3));
-        assert!(!plan.crashed_at(NodeId::new(1), 2));
-        assert_eq!(plan.crash_round(NodeId::new(1)), Some(3));
-        assert_eq!(plan.crash_round(NodeId::new(2)), None);
+        let resolved = ResolvedFaultPlan::resolve(plan, 6, 3).unwrap();
+        assert!(resolved.link_cut_at(4, 2));
+        assert!(!resolved.link_cut_at(4, 1));
+        assert!(!resolved.link_cut_at(5, 9));
+        assert!(resolved.crashed_at(1, 3));
+        assert!(!resolved.crashed_at(1, 2));
+        assert!(!resolved.crashed_at(2, 1_000));
     }
 
     #[test]
@@ -490,8 +455,9 @@ mod tests {
     #[test]
     fn fate_is_deterministic_and_key_sensitive() {
         let plan = FaultPlan::new(5).with_drop_probability(0.5);
+        let resolved = ResolvedFaultPlan::resolve(plan, 64, 4).unwrap();
         let fate = |round, edge, sender, index| {
-            plan.message_fate(round, EdgeId::new(edge), NodeId::new(sender), index)
+            resolved.fate(round, EdgeId::new(edge), NodeId::new(sender), index)
         };
         // Same key, same fate — every time.
         for _ in 0..3 {
@@ -519,8 +485,6 @@ mod tests {
             .with_crash(NodeId::new(2), 3)
             .with_link_cut(EdgeId::new(1), 7)
             .with_link_cut(EdgeId::new(1), 4);
-        assert_eq!(plan.crash_round(NodeId::new(2)), Some(3));
-        assert!(plan.link_cut_at(EdgeId::new(1), 4));
         let resolved = ResolvedFaultPlan::resolve(plan, 2, 3).unwrap();
         assert!(resolved.crashed_at(2, 3));
         assert!(!resolved.crashed_at(2, 2));

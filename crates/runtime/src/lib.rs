@@ -110,7 +110,7 @@ pub use checkpoint::{CheckpointHeader, NetworkCheckpoint, PendingEnvelope};
 pub use churn::{ChurnDriver, ChurnEvent, ChurnEventSpec, ChurnPlan, ScheduledChurn};
 pub use engine::{Network, NetworkConfig, DEFAULT_CHUNK_SIZE};
 pub use error::{RuntimeError, RuntimeResult};
-pub use fault::{CrashSchedule, FaultPlan, LinkCut, MessageFate};
+pub use fault::{CrashSchedule, FaultPlan, LinkCut};
 pub use knowledge::{InitialKnowledge, KnowledgeModel, Port};
 pub use local::LocalExecutor;
 pub use metrics::{

@@ -5,24 +5,23 @@
 //! `Vec<u32>` of fresh tokens per node, one bit set per received token, one
 //! ledger record per bundle in ascending sender order — and asserts that
 //! both produce the same `BroadcastOutcome`: cost, radius, the full ledger
-//! (per-edge, per-round and fault columns), `tokens_received`, and
-//! `holds_token` for every (holder, source) pair.
+//! (per-edge and per-round columns), `tokens_received`, and `holds_token`
+//! for every (holder, source) pair.
 //!
 //! The grid covers n ∈ {1, 63, 64, 65, 130} (word boundaries of the
 //! bitsets), cycles, stars, Erdős–Rényi graphs and multigraphs with parallel
-//! edges, full, partial and empty subgraphs, radius 0..=8, all three
-//! `FloodRouting` policies, and drop, duplicate, crash (at round 0 and mid
-//! run) and link-cut fault plans.
+//! edges, full, partial and empty subgraphs, radius 0..=8, and all three
+//! `FloodRouting` policies. Faults are not a flood concern: fault plans run
+//! on the engine and its transports only (see `tests/fault_matrix.rs`).
 
 use freelunch::core::reduction::tlocal::{
-    flood_on_subgraph_routed, flood_on_subgraph_with_faults, BroadcastOutcome, FloodRouting,
-    TOKEN_BYTES,
+    flood_on_subgraph_routed, BroadcastOutcome, FloodRouting, TOKEN_BYTES,
 };
 use freelunch::graph::generators::{
     connected_erdos_renyi, cycle_graph, star_graph, GeneratorConfig,
 };
 use freelunch::graph::{EdgeId, MultiGraph, NodeId};
-use freelunch::runtime::{edge_slot_count, FaultCause, FaultPlan, MessageFate, MessageLedger};
+use freelunch::runtime::{edge_slot_count, MessageLedger};
 
 /// What the per-token reference flood produces.
 struct Reference {
@@ -35,18 +34,15 @@ struct Reference {
 
 /// The per-token flood: every delivered bundle walks its token list and
 /// sets one bit per token, collecting the newly learned ones as the
-/// receiver's next bundle. Faults apply to the per-edge policy only, as in
-/// the library.
+/// receiver's next bundle.
 fn reference_flood(
     graph: &MultiGraph,
     edges: &[EdgeId],
     radius: u32,
     routing: FloodRouting,
-    faults: &FaultPlan,
 ) -> Reference {
     let n = graph.node_count();
     let subgraph = graph.edge_subgraph(edges.iter().copied()).unwrap();
-    let faulty = faults.affects_messages();
 
     // The neighbor classes of the routed policies, sorted by edge ID.
     let classes: Vec<Vec<(NodeId, Vec<EdgeId>)>> = subgraph
@@ -87,31 +83,7 @@ fn reference_flood(
             let mut receivers = Vec::new();
             match routing {
                 FloodRouting::PerEdge => {
-                    if faulty && faults.crashed_at(sender, round) {
-                        continue;
-                    }
                     for ie in subgraph.incident_edges(sender) {
-                        if faulty {
-                            if faults.link_cut_at(ie.edge, round) {
-                                ledger.record_dropped(FaultCause::LinkCut);
-                                continue;
-                            }
-                            if faults.crashed_at(ie.neighbor, round) {
-                                ledger.record_dropped(FaultCause::Crash);
-                                continue;
-                            }
-                            match faults.message_fate(round, ie.edge, sender, 0) {
-                                MessageFate::Drop => {
-                                    ledger.record_dropped(FaultCause::Random);
-                                    continue;
-                                }
-                                MessageFate::Duplicate => {
-                                    ledger.record_duplicated();
-                                    ledger.record_edge(ie.edge, bundle_bytes);
-                                }
-                                MessageFate::Deliver => {}
-                            }
-                        }
                         ledger.record_edge(ie.edge, bundle_bytes);
                         receivers.push(ie.neighbor.index());
                     }
@@ -160,11 +132,6 @@ fn assert_equivalent(outcome: &BroadcastOutcome, reference: &Reference, radius: 
         "{case}: subgraph edges"
     );
     assert_eq!(outcome.cost, reference.ledger.summary(), "{case}: cost");
-    assert_eq!(
-        outcome.ledger.fault_totals(),
-        reference.ledger.fault_totals(),
-        "{case}: fault totals"
-    );
     assert_eq!(
         outcome.ledger.messages_per_round(),
         reference.ledger.messages_per_round(),
@@ -228,70 +195,8 @@ fn subsets(graph: &MultiGraph) -> Vec<(&'static str, Vec<EdgeId>)> {
     vec![("full", all), ("partial", partial), ("empty", Vec::new())]
 }
 
-/// Fault plans of the per-edge policy; the first is the empty plan.
-fn fault_plans(graph: &MultiGraph) -> Vec<(&'static str, FaultPlan)> {
-    let n = graph.node_count();
-    let mid = NodeId::from_usize(n / 2);
-    let mut plans = vec![
-        ("none", FaultPlan::none()),
-        ("drop", FaultPlan::new(11).with_drop_probability(0.3)),
-        (
-            "duplicate",
-            FaultPlan::new(12).with_duplicate_probability(0.3),
-        ),
-        ("crash-at-0", FaultPlan::new(13).with_crash(mid, 0)),
-        (
-            "crash-mid-run",
-            FaultPlan::new(14)
-                .with_crash(mid, 3)
-                .with_crash(NodeId::new(0), 5),
-        ),
-        (
-            "mixed",
-            FaultPlan::new(15)
-                .with_drop_probability(0.1)
-                .with_duplicate_probability(0.1)
-                .with_crash(mid, 2),
-        ),
-    ];
-    if graph.edge_count() > 0 {
-        let cut = EdgeId::new(graph.edge_count() as u64 / 2);
-        plans.push(("link-cut", FaultPlan::new(16).with_link_cut(cut, 2)));
-        plans.push((
-            "link-cut-at-1",
-            FaultPlan::new(17).with_link_cut(EdgeId::new(0), 1),
-        ));
-    }
-    plans
-}
-
 const NODE_COUNTS: [usize; 5] = [1, 63, 64, 65, 130];
 const RADII: std::ops::RangeInclusive<u32> = 0..=8;
-
-#[test]
-fn per_edge_kernel_matches_the_per_token_flood_under_faults() {
-    for n in NODE_COUNTS {
-        for (family, graph) in graphs(n) {
-            for (subset, edges) in subsets(&graph) {
-                for (plan_name, plan) in fault_plans(&graph) {
-                    for radius in RADII {
-                        let case = format!("n={n} {family} {subset} {plan_name} radius={radius}");
-                        let outcome = flood_on_subgraph_with_faults(
-                            &graph,
-                            edges.iter().copied(),
-                            radius,
-                            &plan,
-                        )
-                        .unwrap();
-                        let reference =
-                            reference_flood(&graph, &edges, radius, FloodRouting::PerEdge, &plan);
-                        assert_equivalent(&outcome, &reference, radius, &case);
-                    }
-                }
-            }
-        }
-    }
-}
 
 #[test]
 fn routed_kernel_matches_the_per_token_flood_for_every_policy() {
@@ -312,8 +217,7 @@ fn routed_kernel_matches_the_per_token_flood_for_every_policy() {
                             routing,
                         )
                         .unwrap();
-                        let reference =
-                            reference_flood(&graph, &edges, radius, routing, &FaultPlan::none());
+                        let reference = reference_flood(&graph, &edges, radius, routing);
                         assert_equivalent(&outcome, &reference, radius, &case);
                     }
                 }
@@ -322,25 +226,12 @@ fn routed_kernel_matches_the_per_token_flood_for_every_policy() {
     }
 }
 
-/// The grid is only meaningful if its faults fire and its floods travel:
-/// pin that the fault plans drop, duplicate and crash bundles somewhere,
-/// and that the routed policies differ on the multigraph.
+/// The grid is only meaningful if its floods travel: pin that the routed
+/// policies differ on the multigraph.
 #[test]
-fn the_grid_exercises_faults_and_parallel_edges() {
+fn the_grid_exercises_parallel_edges() {
     let graph = graphs(65).pop().unwrap().1;
     let edges: Vec<EdgeId> = graph.edge_ids().collect();
-    let mut seen = [false; 4];
-    for (_, plan) in fault_plans(&graph) {
-        let totals = flood_on_subgraph_with_faults(&graph, edges.iter().copied(), 8, &plan)
-            .unwrap()
-            .ledger
-            .fault_totals();
-        seen[0] |= totals.dropped_random > 0;
-        seen[1] |= totals.duplicated > 0;
-        seen[2] |= totals.dropped_crash > 0;
-        seen[3] |= totals.dropped_link_cut > 0;
-    }
-    assert_eq!(seen, [true; 4], "random drop, duplicate, crash, link cut");
     let per_edge =
         flood_on_subgraph_routed(&graph, edges.iter().copied(), 4, FloodRouting::PerEdge).unwrap();
     let canonical =

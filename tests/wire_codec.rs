@@ -12,6 +12,14 @@
 //!
 //! The sweeps below are deterministic (exhaustive tags × structured value
 //! grids), so a law violation is always reproducible.
+//!
+//! The checkpoint codecs of the shipped programs (`save_state` /
+//! `load_state`) are held to the rejection law too: truncated bytes and
+//! hostile length fields must come back as an `Err`, never as a panic or
+//! an attempt to allocate for a count the bytes cannot hold. The binary's
+//! allocator refuses any single request above [`ALLOCATION_CAP`], so such
+//! an attempt aborts the run on every machine, not only on one short of
+//! memory.
 
 use freelunch::algorithms::broadcast::BallGathering;
 use freelunch::algorithms::coloring::{ColoringMessage, RandomizedColoring};
@@ -19,10 +27,43 @@ use freelunch::algorithms::leader::LocalLeaderElection;
 use freelunch::algorithms::matching::{MatchingMessage, MaximalMatching};
 use freelunch::algorithms::mis::{LubyMis, MisMessage};
 use freelunch::core::sampler::distributed::{Level0Message, Level0Program};
+use freelunch::graph::generators::{connected_erdos_renyi, GeneratorConfig};
 use freelunch::graph::{EdgeId, NodeId};
 use freelunch::runtime::transport::{CodecError, WireCodec};
-use freelunch::runtime::{CheckpointHeader, ChurnEvent, NodeProgram, RejoinHello};
+use freelunch::runtime::{
+    CheckpointHeader, ChurnEvent, InitialKnowledge, Network, NetworkConfig, NodeProgram,
+    RejoinHello,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Debug;
+
+/// Largest single allocation this test binary grants (1 GiB).
+const ALLOCATION_CAP: usize = 1 << 30;
+
+/// The system allocator with a per-request cap: a larger request gets a
+/// null pointer, which the standard library turns into an abort.
+struct CappedAllocator;
+
+// SAFETY: `alloc` forwards the caller's layout unchanged to `System` or
+// returns null, which `GlobalAlloc::alloc` permits to signal failure. So
+// every pointer `dealloc` receives came from `System.alloc` with the same
+// layout, which is what `System.dealloc` requires. `realloc` and
+// `alloc_zeroed` keep their default bodies, which go through `alloc`.
+unsafe impl GlobalAlloc for CappedAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() > ALLOCATION_CAP {
+            return std::ptr::null_mut();
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CappedAllocator = CappedAllocator;
 
 /// The structured value grid the payload-carrying variants are swept over.
 const VALUE_GRID: [u64; 12] = [
@@ -525,4 +566,85 @@ fn builtin_codecs_obey_the_codec_laws() {
         assert_eq!(narrow.len(), 4);
         assert_eq!(u32::decode(&narrow), Ok(value as u32));
     }
+}
+
+/// The longest `save_state` blob any node of a small ER graph produces after
+/// two rounds of the program built by `factory`.
+fn saved_state<P: NodeProgram>(factory: impl Fn(NodeId, &InitialKnowledge) -> P) -> Vec<u8> {
+    let graph = connected_erdos_renyi(&GeneratorConfig::new(24, 5), 0.25).unwrap();
+    let mut network = Network::new(&graph, NetworkConfig::with_seed(3), &factory).unwrap();
+    network.run_rounds(2).unwrap();
+    let mut longest = Vec::new();
+    for program in network.programs() {
+        let mut state = Vec::new();
+        program.save_state(&mut state);
+        if state.len() > longest.len() {
+            longest = state;
+        }
+    }
+    longest
+}
+
+/// `load_state` must reject every strict prefix of a real state, and every
+/// state whose count field at one of `count_offsets` reads `u32::MAX`.
+fn check_state_rejection<P: NodeProgram>(
+    name: &str,
+    fresh: impl Fn() -> P,
+    state: &[u8],
+    count_offsets: &[usize],
+) {
+    assert!(
+        fresh().load_state(state).is_ok(),
+        "{name}: a real state must load"
+    );
+    for len in 0..state.len() {
+        assert!(
+            fresh().load_state(&state[..len]).is_err(),
+            "{name}: the {len}-byte prefix of a {}-byte state loaded",
+            state.len()
+        );
+    }
+    for &offset in count_offsets {
+        let mut hostile = state.to_vec();
+        hostile[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(
+            fresh().load_state(&hostile).is_err(),
+            "{name}: a count of u32::MAX at byte {offset} loaded"
+        );
+    }
+}
+
+#[test]
+fn checkpoint_states_reject_truncation_and_hostile_counts() {
+    // LubyMis: state tag, priority, flagged best priority, then the count
+    // of active ports at byte 18.
+    let state = saved_state(|_, k| LubyMis::new(k.degree()));
+    check_state_rejection("LubyMis", || LubyMis::new(4), &state, &[18]);
+
+    // RandomizedColoring: palette, conflict flag, two flagged colors, then
+    // the count of forbidden colors at byte 15.
+    let state = saved_state(|_, k| RandomizedColoring::new(k.degree()));
+    check_state_rejection(
+        "RandomizedColoring",
+        || RandomizedColoring::new(4),
+        &state,
+        &[15],
+    );
+
+    // BallGathering: horizon, the known count at byte 4, the known IDs,
+    // then the fresh count and the fresh IDs.
+    let fresh = || BallGathering::new(NodeId::new(0), 3);
+    let state = saved_state(|node, _| BallGathering::new(node, 3));
+    let known_count = u32::from_le_bytes(state[4..8].try_into().unwrap()) as usize;
+    check_state_rejection("BallGathering", fresh, &state, &[4, 8 + 4 * known_count]);
+    // The smallest hostile state: horizon 3, nothing known, and a fresh
+    // count of u32::MAX with no IDs behind it.
+    let mut tiny = Vec::new();
+    for word in [3, 0, u32::MAX] {
+        tiny.extend_from_slice(&word.to_le_bytes());
+    }
+    assert!(matches!(
+        fresh().load_state(&tiny),
+        Err(CodecError::Truncated { .. })
+    ));
 }
